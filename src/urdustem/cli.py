@@ -124,11 +124,7 @@ def cmd_eval(args) -> int:
         raise CliError(str(exc), EXIT_INPUT) from exc
 
     if args.json:
-        sys.stdout.write(json.dumps(
-            {k: (evaluation.format_percent(report.accuracy_percent) if k == "accuracy_percent" else v)
-             for k, v in report.__dict__.items()},
-            ensure_ascii=False,
-        ) + "\n")
+        sys.stdout.write(evaluation.report_json(report))
     else:
         sys.stdout.write(evaluation.summarize(report) + "\n" + evaluation.report_kv(report))
     return EXIT_OK

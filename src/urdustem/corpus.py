@@ -10,6 +10,7 @@ import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from itertools import groupby
 
 from urdustem.graphemes import ZWNJ, ZWJ
 
@@ -41,6 +42,8 @@ def _load_unify_map() -> dict[int, str]:
 
 
 _UNIFY = _load_unify_map()
+# Diacritic keys come last so that they win: stripping precedes unification.
+_STRIP_AND_UNIFY = {**_UNIFY, **dict.fromkeys(map(ord, _DIACRITICS))}
 
 
 def normalize(text: str, strip_diacritics: bool = True) -> str:
@@ -50,9 +53,7 @@ def normalize(text: str, strip_diacritics: bool = True) -> str:
     *strip_diacritics* is set, combining marks and tatweel are removed.
     """
     text = unicodedata.normalize("NFC", text)
-    if strip_diacritics:
-        text = "".join(ch for ch in text if ch not in _DIACRITICS)
-    text = text.translate(_UNIFY)
+    text = text.translate(_STRIP_AND_UNIFY if strip_diacritics else _UNIFY)
     return unicodedata.normalize("NFC", text)
 
 
@@ -96,30 +97,11 @@ def tokenize(text: str) -> list[Token]:
     token surfaces with the skipped separators reconstructs the input.
     """
     tokens: list[Token] = []
-    run: list[str] = []
-    run_kind: TokenKind | None = None
-    run_start = 0
     offset = 0
-
-    def flush() -> None:
-        nonlocal run, run_kind
-        if run:
-            surface = "".join(run)
-            tokens.append(Token(surface, run_kind, run_start, run_start + len(surface.encode())))
-            run = []
-            run_kind = None
-
-    for ch in text:
-        kind = _char_class(ch)
-        if kind is None:
-            flush()
-        elif kind is run_kind:
-            run.append(ch)
-        else:
-            flush()
-            run_kind = kind
-            run_start = offset
-            run.append(ch)
-        offset += len(ch.encode())
-    flush()
+    for kind, run in groupby(text, _char_class):
+        surface = "".join(run)
+        end = offset + len(surface.encode())
+        if kind is not None:
+            tokens.append(Token(surface, kind, offset, end))
+        offset = end
     return tokens

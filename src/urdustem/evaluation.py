@@ -6,10 +6,12 @@ material), under-stemming (affix material was left on the stem) or other
 (orthogonal mismatch, e.g. a recoding divergence).
 """
 
+import dataclasses
+import json
 import unicodedata
 from dataclasses import dataclass
-from fractions import Fraction
 from enum import Enum
+from fractions import Fraction
 
 from urdustem import graphemes
 from urdustem.stemmer import StemResult
@@ -174,55 +176,55 @@ def format_percent(value: Fraction) -> str:
     return f"{whole // 10}.{whole % 10}"
 
 
-_SUMMARY_ROWS = (
-    ("Total Words", "total_words"),
-    ("Correct stemmed output", "correct"),
-    ("Wrong output", "wrong"),
-    ("Unique Words", "unique_correct"),
-    ("Min Length", "min_word_len"),
-    ("Max Length", "max_word_len"),
-    ("Accuracy (%)", None),
-    ("Over-stemming errors", "over_count"),
-    ("Under-stemming errors", "under_count"),
-    ("Other errors", "other_count"),
-    ("Pass-through words", "pass_through_count"),
+# (EvalReport attribute, report_kv key, summary label), in summary row
+# order.  report_kv and report_json list the same fields in EvalReport's
+# field order; both orders are part of the CLI's output.
+_REPORT_FIELDS = (
+    ("total_words", "total_words", "Total Words"),
+    ("correct", "correct", "Correct stemmed output"),
+    ("wrong", "wrong", "Wrong output"),
+    ("unique_correct", "unique_correct", "Unique Words"),
+    ("min_word_len", "min_word_len", "Min Length"),
+    ("max_word_len", "max_word_len", "Max Length"),
+    ("accuracy_percent", "accuracy_percent", "Accuracy (%)"),
+    ("over_count", "over_stemming", "Over-stemming errors"),
+    ("under_count", "under_stemming", "Under-stemming errors"),
+    ("other_count", "other_errors", "Other errors"),
+    ("pass_through_count", "pass_through", "Pass-through words"),
 )
+_KV_KEYS = {attr: key for attr, key, _ in _REPORT_FIELDS}
+
+
+def _rendered(report: EvalReport) -> dict:
+    """Field values as printed, in EvalReport field order."""
+    values = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    return {k: format_percent(v) if isinstance(v, Fraction) else v for k, v in values.items()}
 
 
 def summarize(report: EvalReport) -> str:
     """Plain-text summary table, deterministic."""
-    width = max(len(label) for label, _ in _SUMMARY_ROWS)
-    lines = []
-    for label, attr in _SUMMARY_ROWS:
-        value = format_percent(report.accuracy_percent) if attr is None else getattr(report, attr)
-        lines.append(f"{label:<{width}}  {value}")
-    return "\n".join(lines) + "\n"
+    values = _rendered(report)
+    width = max(len(label) for _, _, label in _REPORT_FIELDS)
+    return "".join(f"{label:<{width}}  {values[attr]}\n" for attr, _, label in _REPORT_FIELDS)
 
 
 def report_kv(report: EvalReport) -> str:
     """Machine-readable key-value block, one ``key<TAB>value`` per line."""
-    pairs = [
-        ("total_words", report.total_words),
-        ("correct", report.correct),
-        ("wrong", report.wrong),
-        ("unique_correct", report.unique_correct),
-        ("pass_through", report.pass_through_count),
-        ("accuracy_percent", format_percent(report.accuracy_percent)),
-        ("over_stemming", report.over_count),
-        ("under_stemming", report.under_count),
-        ("other_errors", report.other_count),
-        ("min_word_len", report.min_word_len),
-        ("max_word_len", report.max_word_len),
-    ]
-    return "\n".join(f"{k}\t{v}" for k, v in pairs) + "\n"
+    return "".join(f"{_KV_KEYS[attr]}\t{value}\n" for attr, value in _rendered(report).items())
+
+
+def report_json(report: EvalReport) -> str:
+    """The report as one JSON line keyed by EvalReport attribute."""
+    return json.dumps(_rendered(report)) + "\n"
 
 
 def parse_gold_file(text: str) -> list[GoldEntry]:
     """Parse a gold-corpus TSV: ``word  stem  [prefix]  [suffix]``.
 
     Empty affix fields mean "no affix expected".  ``#`` starts a comment.
+    A leading UTF-8 byte-order mark is ignored.
     """
-    text = unicodedata.normalize("NFC", text)
+    text = unicodedata.normalize("NFC", text.removeprefix("\ufeff"))
     entries: list[GoldEntry] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")

@@ -30,7 +30,3 @@ def split(text: str) -> list[str]:
 def count(text: str) -> int:
     """Number of grapheme clusters in *text*."""
     return len(split(text))
-
-
-def is_nfc(text: str) -> bool:
-    return unicodedata.is_normalized("NFC", text)

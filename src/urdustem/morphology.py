@@ -2,8 +2,9 @@
 
 Implements the one fully specified masculine noun paradigm (lemmas ending
 in alif, choti he, or ain), the verb causative triple, and adjective
-gender/case agreement.  Everything else raises :class:`ParadigmError`
-rather than guessing at grammar the generator has no rules for.
+gender/case agreement.  Lemmas outside these paradigms raise
+:class:`ParadigmError` rather than guessing at grammar the generator has
+no rules for.
 """
 
 import unicodedata
@@ -26,8 +27,6 @@ INFINITIVE = "نا"
 DIRECT_CAUSATIVE = "انا"
 INDIRECT_CAUSATIVE = "وانا"
 
-GROUP1 = "group1-masc-a/he/ain"
-
 
 class ParadigmError(ValueError):
     """Inflection requested for a paradigm the generator has no rules for."""
@@ -44,30 +43,17 @@ class Number(Enum):
     PLURAL = "plural"
 
 
-class Gender(Enum):
-    MASCULINE = "masculine"
-    FEMININE = "feminine"
-
-
 class TerminationClass(Enum):
     ALIF_HE = "alif-he"  # final letter is replaced by the case ending
     AIN = "ain"  # the case ending is appended after the final ain
 
 
 @dataclass(frozen=True)
-class NounFeatures:
-    case: Case
-    number: Number
-    gender: Gender = Gender.MASCULINE
-
-
-@dataclass(frozen=True)
 class ParadigmEntry:
-    """A noun lemma (singular nominative) and its inflection group."""
+    """A group-1 masculine noun lemma (singular nominative)."""
 
     lemma: str
     termination_class: TerminationClass
-    group: str = GROUP1
 
     def __post_init__(self) -> None:
         last = graphemes.split(self.lemma)[-1] if self.lemma else ""
@@ -113,13 +99,9 @@ _NOUN_ENDINGS = {
 FEATURE_ORDER = tuple(_NOUN_ENDINGS)
 
 
-def inflect_noun(entry: ParadigmEntry, f: NounFeatures) -> str:
-    """Inflect a group-1 masculine noun for case and number."""
-    if entry.group != GROUP1 or f.gender is not Gender.MASCULINE:
-        raise ParadigmError(
-            f"paradigm not specified for group {entry.group!r} with gender {f.gender.value}"
-        )
-    ending = _NOUN_ENDINGS[(f.number, f.case)]
+def inflect_noun(entry: ParadigmEntry, number: Number, case: Case) -> str:
+    """Inflect a group-1 masculine noun for number and case."""
+    ending = _NOUN_ENDINGS[(number, case)]
     if ending is None:
         return entry.lemma
     if entry.termination_class is TerminationClass.AIN:
@@ -164,7 +146,7 @@ def generate_gold(lexicon) -> list[GoldEntry]:
     for item in lexicon:
         if isinstance(item, ParadigmEntry):
             for number, case in FEATURE_ORDER:
-                surface = inflect_noun(item, NounFeatures(case, number))
+                surface = inflect_noun(item, number, case)
                 entries.append(
                     GoldEntry(surface, item.lemma, expected_suffix=_surface_suffix(item.lemma, surface))
                 )
@@ -187,10 +169,11 @@ def parse_lexicon_file(text: str):
     """Parse a lexicon TSV: lines of ``noun|verb|adj <TAB> lemma``.
 
     Noun termination classes are inferred from the final grapheme.
-    ``#`` starts a comment.
+    ``#`` starts a comment.  A leading UTF-8 byte-order mark is ignored.
     """
     items = []
-    for lineno, raw in enumerate(unicodedata.normalize("NFC", text).split("\n"), start=1):
+    text = unicodedata.normalize("NFC", text.removeprefix("\ufeff"))
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

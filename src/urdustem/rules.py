@@ -19,7 +19,7 @@ the directives::
 
 Fields are not trimmed: a pattern may legitimately end in a space
 (e.g. a prefix that consumes the following separator).  File content is
-NFC-normalized on read.
+NFC-normalized on read; a leading UTF-8 byte-order mark is ignored.
 """
 
 import unicodedata
@@ -109,16 +109,13 @@ class RuleSet:
     def effective_min_stem(self, rule: AffixRule) -> int:
         return rule.min_stem if rule.min_stem is not None else self.default_min_stem
 
-    def count_by_kind(self, kind: AffixKind) -> int:
-        return sum(1 for r in self.rules if r.kind is kind)
-
     @property
     def suffix_count(self) -> int:
-        return self.count_by_kind(AffixKind.SUFFIX)
+        return sum(1 for r in self.rules if r.kind is AffixKind.SUFFIX)
 
     @property
     def prefix_count(self) -> int:
-        return self.count_by_kind(AffixKind.PREFIX)
+        return sum(1 for r in self.rules if r.kind is AffixKind.PREFIX)
 
 
 def order_rules(rules) -> list[AffixRule]:
@@ -138,7 +135,7 @@ def parse_rule_file(text: str) -> RuleSet:
     Raises :class:`RuleParseError` with the offending line number; a
     duplicate ``(kind, pattern)`` also carries the first occurrence's line.
     """
-    text = unicodedata.normalize("NFC", text)
+    text = unicodedata.normalize("NFC", text.removeprefix("\ufeff"))
     rules: list[AffixRule] = []
     first_line: dict[tuple[AffixKind, str], int] = {}
     exceptions: set[str] = set()
@@ -214,11 +211,20 @@ def _parse_min_stem(text: str, lineno: int) -> int:
     return int(text)
 
 
+def _check_writable(text: str, what: str) -> None:
+    if not {"\t", "\r", "\n"}.isdisjoint(text):
+        raise ValueError(f"{what} holds a tab, CR or LF, which a rule file cannot express")
+
+
 def serialize_rule_set(rs: RuleSet) -> str:
     """Render a rule set in canonical form.
 
     ``parse_rule_file(serialize_rule_set(rs))`` equals ``rs``, and the
-    output is a fixpoint of serialize-after-parse.
+    output is a fixpoint of serialize-after-parse.  Raises
+    :class:`ValueError` for a rule set the format cannot express: a tab,
+    CR or LF inside a pattern, replacement or exception word, or a
+    digit-only replacement on a rule without its own ``min_stem`` (it
+    would read back as ``min_stem``).
     """
     lines = [
         "# urdustem rule file",
@@ -227,8 +233,14 @@ def serialize_rule_set(rs: RuleSet) -> str:
         f"#!default-min-stem\t{rs.default_min_stem}",
     ]
     for word in sorted(rs.exceptions):
+        _check_writable(word, f"exception {word!r}")
         lines.append(f"#!exception\t{word}")
     for rule in rs.rules:
+        _check_writable(rule.pattern + rule.replacement, f"rule {rule.rule_id!r}")
+        if rule.min_stem is None and rule.replacement.isascii() and rule.replacement.isdigit():
+            raise ValueError(
+                f"rule {rule.rule_id!r}: a digit-only replacement needs an explicit min_stem"
+            )
         fields = [rule.kind.value, rule.pattern]
         if rule.min_stem is not None:
             fields += [rule.replacement, str(rule.min_stem)]

@@ -6,6 +6,7 @@ word matching nothing is returned unchanged; exception-listed words are
 returned verbatim before any rule is consulted.
 """
 
+import unicodedata
 from dataclasses import dataclass, field
 
 from urdustem import graphemes
@@ -101,7 +102,7 @@ def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemR
     """
     if not word:
         raise StemError("cannot stem an empty word")
-    if not graphemes.is_nfc(word):
+    if not unicodedata.is_normalized("NFC", word):
         raise StemError(f"word {word!r} is not NFC; normalize it with urdustem.corpus.normalize")
 
     if word in rs.exceptions:

@@ -123,8 +123,11 @@ class TestEval:
         code, out, _ = run(
             capsys, "eval", "--rules", data.path(data.DEFAULT_RULES), "--gold", str(gold), "--json"
         )
-        record = json.loads(out)
-        assert record["accuracy_percent"] == "100.0"
+        assert out == (
+            '{"total_words": 1, "correct": 1, "wrong": 0, "unique_correct": 1, '
+            '"pass_through_count": 1, "accuracy_percent": "100.0", "over_count": 0, '
+            '"under_count": 0, "other_count": 0, "min_word_len": 3, "max_word_len": 3}\n'
+        )
 
 
 class TestRules:

@@ -187,6 +187,9 @@ class TestGoldFile:
         ]
         assert parse_gold_file(gold_to_tsv(entries)) == entries
 
+    def test_leading_bom_ignored(self):
+        assert parse_gold_file("\ufeffقلم\tقلم\n") == parse_gold_file("قلم\tقلم\n")
+
     def test_comments_ignored(self):
         assert parse_gold_file("# header\nقلم\tقلم\n")[0].word == "قلم"
 

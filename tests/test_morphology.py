@@ -4,8 +4,6 @@ from urdustem import graphemes
 from urdustem.morphology import (
     Adjective,
     Case,
-    Gender,
-    NounFeatures,
     ParadigmEntry,
     ParadigmError,
     Number,
@@ -32,25 +30,15 @@ TABLE1_GRID = [
 class TestInflectNoun:
     @pytest.mark.parametrize("case,number,expected", TABLE1_GRID)
     def test_alif_final_grid(self, case, number, expected):
-        f = NounFeatures(case, Number.SINGULAR if number == "singular" else Number.PLURAL)
-        assert inflect_noun(HAMMER, f) == expected
+        assert inflect_noun(HAMMER, Number(number), case) == expected
 
     def test_ain_final_appends_instead_of_replacing(self):
         entry = ParadigmEntry("موقع", TerminationClass.AIN)
         # Hand application of the ain sub-rule: the ending is added after
         # the final letter, nothing is removed.
-        assert inflect_noun(entry, NounFeatures(Case.OBLIQUE, Number.PLURAL)) == "موقعوں"
-        assert inflect_noun(entry, NounFeatures(Case.NOMINATIVE, Number.PLURAL)) == "موقعے"
-        assert inflect_noun(entry, NounFeatures(Case.NOMINATIVE, Number.SINGULAR)) == "موقع"
-
-    def test_feminine_not_specified(self):
-        with pytest.raises(ParadigmError, match="not specified"):
-            inflect_noun(HAMMER, NounFeatures(Case.NOMINATIVE, Number.PLURAL, Gender.FEMININE))
-
-    def test_unknown_group_not_specified(self):
-        entry = ParadigmEntry("ہتھوڑا", TerminationClass.ALIF_HE, group="group7")
-        with pytest.raises(ParadigmError, match="not specified"):
-            inflect_noun(entry, NounFeatures(Case.NOMINATIVE, Number.PLURAL))
+        assert inflect_noun(entry, Number.PLURAL, Case.OBLIQUE) == "موقعوں"
+        assert inflect_noun(entry, Number.PLURAL, Case.NOMINATIVE) == "موقعے"
+        assert inflect_noun(entry, Number.SINGULAR, Case.NOMINATIVE) == "موقع"
 
     def test_termination_class_validation(self):
         with pytest.raises(ValueError):
@@ -155,6 +143,9 @@ class TestLexiconFile:
     def test_parse_mixed_lexicon(self):
         items = parse_lexicon_file("noun\tہتھوڑا\nverb\tکر\nadj\tلمبا\n# comment\n")
         assert [type(i).__name__ for i in items] == ["ParadigmEntry", "VerbRoot", "Adjective"]
+
+    def test_leading_bom_ignored(self):
+        assert parse_lexicon_file("\ufeffnoun\tہتھوڑا\n") == parse_lexicon_file("noun\tہتھوڑا\n")
 
     def test_bad_category_carries_line(self):
         with pytest.raises(ParadigmError, match="line 2"):

@@ -128,6 +128,10 @@ class TestParse:
         assert exc_info.value.other_line == 1
         assert "line 1" in str(exc_info.value)
 
+    def test_leading_bom_ignored(self):
+        text = "S\tوں\tہ\n#!exception\tحیات\n"
+        assert parse_rule_file("\ufeff" + text) == parse_rule_file(text)
+
     def test_duplicate_pattern_different_kind_is_fine(self):
         rs = parse_rule_file("S\tنو\nP\tنو\n")
         assert len(rs.rules) == 2
@@ -145,11 +149,26 @@ class TestSerialize:
 
     def test_round_trip_with_exceptions_and_min_stem(self):
         rs = RuleSet(
-            (AffixRule(S, "وں", "ہ", 3), AffixRule(P, "بد ")),
+            (AffixRule(S, "وں", "ہ", 3), AffixRule(P, "بد "), AffixRule(S, "ab", "5", 2)),
             frozenset({"بدمعاش", "حیات"}),
             default_min_stem=3,
         )
         assert parse_rule_file(serialize_rule_set(rs)) == rs
+
+    @pytest.mark.parametrize(
+        "rs,name",
+        [
+            (RuleSet((AffixRule(S, "ab", "5"),)), "'S:ab'"),  # would read back as min_stem=5
+            (RuleSet((AffixRule(S, "a\tb"),)), "'S:a\\tb'"),  # would read back as a -> b
+            (RuleSet((AffixRule(S, "ab", "\n"),)), "'S:ab'"),  # the replacement would be lost
+            (RuleSet((), frozenset({"a\rb"})), "'a\\rb'"),
+        ],
+        ids=["digit-replacement", "tab-in-pattern", "lf-in-replacement", "cr-in-exception"],
+    )
+    def test_inexpressible_rule_set_raises_naming_it(self, rs, name):
+        with pytest.raises(ValueError) as exc_info:
+            serialize_rule_set(rs)
+        assert name in str(exc_info.value)
 
     def test_shipped_default_file_is_canonical_fixpoint(self, default_rules):
         from urdustem import data
