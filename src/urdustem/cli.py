@@ -48,11 +48,15 @@ def _parse_bool(value: str) -> bool:
 
 
 def _read_input(path: str) -> str:
+    # The BOM is dropped after a strict decode, not by "utf-8-sig", so that
+    # an error offset counts from the first byte of the file.
     try:
         if path == "-":
-            return sys.stdin.buffer.read().decode("utf-8")
-        with open(path, "rb") as f:
-            return f.read().decode("utf-8")
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as f:
+                data = f.read()
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: invalid UTF-8 at byte {exc.start}", EXIT_INPUT) from exc
     except OSError as exc:

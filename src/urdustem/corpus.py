@@ -95,13 +95,19 @@ def tokenize(text: str) -> list[Token]:
 
     Whitespace separates tokens and is emitted as no token; concatenating
     token surfaces with the skipped separators reconstructs the input.
+    Raises :class:`ValueError` naming the code-point offset of the first
+    lone surrogate, which has no UTF-8 byte span.
     """
     tokens: list[Token] = []
     offset = 0
-    for kind, run in groupby(text, _char_class):
-        surface = "".join(run)
-        end = offset + len(surface.encode())
-        if kind is not None:
-            tokens.append(Token(surface, kind, offset, end))
-        offset = end
+    try:
+        for kind, run in groupby(text, _char_class):
+            surface = "".join(run)
+            end = offset + len(surface.encode())
+            if kind is not None:
+                tokens.append(Token(surface, kind, offset, end))
+            offset = end
+    except UnicodeEncodeError:
+        at = next(i for i, ch in enumerate(text) if "\ud800" <= ch <= "\udfff")
+        raise ValueError(f"lone surrogate at code-point offset {at}") from None
     return tokens

@@ -128,16 +128,16 @@ def evaluate(results, gold, stem_only: bool = False) -> EvalReport:
         raise EvalError(f"{len(results)} results vs {len(gold)} gold entries")
     if not gold:
         raise EvalError("accuracy is undefined for an empty evaluation set")
-    for i, (r, g) in enumerate(zip(results, gold)):
-        if r.word != g.word:
-            raise EvalError(f"entry {i}: result word {r.word!r} != gold word {g.word!r}")
 
     correct = 0
     over = under = other = 0
     correct_types: set[str] = set()
     pass_through = 0
-    for r, g in zip(results, gold):
-        cls = classify_error(r, g, stem_only)
+    for i, (r, g) in enumerate(zip(results, gold)):
+        try:
+            cls = classify_error(r, g, stem_only)
+        except EvalError as exc:
+            raise EvalError(f"entry {i}: {exc}") from exc
         if cls is ErrorClass.CORRECT:
             correct += 1
             correct_types.add(g.word)

@@ -82,10 +82,12 @@ class AffixRule:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Ordered rule collection plus exception words; immutable.
+    """Rule collection plus exception words; immutable.
 
     Rules are kept sorted by pattern grapheme length, descending, ties in
-    source order -- the order the stemmer scans them in.
+    source order.  ``buckets`` (not a field) indexes them for the stemmer:
+    per kind, a tuple of ``(pattern_length, {pattern: rule})`` pairs,
+    longest first.  Building it rejects a duplicate ``(kind, pattern)``.
     """
 
     rules: tuple[AffixRule, ...]
@@ -99,12 +101,13 @@ class RuleSet:
             raise ValueError("default_min_stem must be positive")
         if any(not w for w in self.exceptions):
             raise ValueError("exception words must be non-empty")
-        seen: set[tuple[AffixKind, str]] = set()
+        buckets: dict[AffixKind, dict[int, dict[str, AffixRule]]] = {k: {} for k in AffixKind}
         for rule in self.rules:
-            key = (rule.kind, rule.pattern)
-            if key in seen:
+            bucket = buckets[rule.kind].setdefault(rule.pattern_length, {})
+            if rule.pattern in bucket:
                 raise ValueError(f"duplicate rule {rule.rule_id}")
-            seen.add(key)
+            bucket[rule.pattern] = rule
+        object.__setattr__(self, "buckets", {k: tuple(b.items()) for k, b in buckets.items()})
 
     def effective_min_stem(self, rule: AffixRule) -> int:
         return rule.min_stem if rule.min_stem is not None else self.default_min_stem

@@ -1,16 +1,17 @@
 """Affix stripping by longest-first edge matching.
 
-The engine scans the ordered rule list and detaches the first affix that
-matches at the word edge while leaving a long-enough residual stem.  A
-word matching nothing is returned unchanged; exception-listed words are
-returned verbatim before any rule is consulted.
+The engine looks the word edge up in the rule set's pattern index, one
+probe per pattern length, longest first, and detaches the first affix
+found that leaves a long-enough residual stem.  A word matching nothing
+is returned unchanged; exception-listed words are returned verbatim
+before any rule is consulted.  A recoded stem is renormalized to NFC.
 """
 
 import unicodedata
 from dataclasses import dataclass, field
 
 from urdustem import graphemes
-from urdustem.rules import AffixKind, AffixRule, RuleSet
+from urdustem.rules import AffixKind, RuleSet
 
 MAX_PASSES = 4
 
@@ -67,30 +68,24 @@ class StemResult:
 
 
 def _scan(working: str, rs: RuleSet, kind: AffixKind):
-    """First legal rule of *kind* for *working*, or None.
+    """Longest legal rule of *kind* for *working*, or None.
 
+    Probes the word edge once per pattern length in ``rs.buckets``.
     Returns ``(rule, detached_surface, new_working)``.
     """
     wg = graphemes.split(working)
-    for rule in rs.rules:
-        if rule.kind is not kind:
-            continue
-        plen = rule.pattern_length
-        if len(wg) - plen < rs.effective_min_stem(rule):
-            continue
-        if kind is AffixKind.SUFFIX:
-            edge = wg[len(wg) - plen :]
-            residual = wg[: len(wg) - plen]
-        else:
-            edge = wg[:plen]
-            residual = wg[plen:]
-        if "".join(edge) != rule.pattern:
-            continue
-        if kind is AffixKind.SUFFIX:
-            new_working = "".join(residual) + rule.replacement
-        else:
-            new_working = rule.replacement + "".join(residual)
-        return rule, "".join(edge), new_working
+    suffix = kind is AffixKind.SUFFIX
+    for plen, by_pattern in rs.buckets[kind]:
+        edge = "".join(wg[-plen:] if suffix else wg[:plen])
+        rule = by_pattern.get(edge)
+        if rule is not None and len(wg) - plen >= rs.effective_min_stem(rule):
+            rest = "".join(wg[:-plen] if suffix else wg[plen:])
+            new_working = rest + rule.replacement if suffix else rule.replacement + rest
+            if rule.replacement:
+                # A replacement may start with a combining mark that
+                # composes with the residual (e.g. alif + maddah).
+                new_working = unicodedata.normalize("NFC", new_working)
+            return rule, edge, new_working
     return None
 
 

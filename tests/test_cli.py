@@ -82,6 +82,22 @@ class TestStem:
         code, out, err = run(capsys, "stem", table2_input, "--rules", str(bad))
         assert code == 1 and out == "" and "line 1" in err
 
+    def test_leading_bom_dropped_from_pretokenized_input(self, capsys, tmp_path):
+        p = tmp_path / "bom.txt"
+        p.write_text("\ufeffنوجوان\nنوجوان\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys, "stem", str(p), "--rules", data.path(data.DEFAULT_RULES), "--pretokenized"
+        )
+        assert code == 0
+        assert out.splitlines() == ["نوجوان\tنو\tجوان\t"] * 2
+
+    def test_invalid_byte_after_bom_reports_raw_offset(self, capsys, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"\xef\xbb\xbf\xff")
+        code, out, err = run(capsys, "stem", str(p), "--rules", data.path(data.DEFAULT_RULES))
+        assert code == 2 and out == ""
+        assert "invalid UTF-8 at byte 3" in err
+
     def test_missing_input_exits_2(self, capsys, tmp_path):
         code, out, err = run(
             capsys, "stem", str(tmp_path / "nope.txt"), "--rules", data.path(data.DEFAULT_RULES)

@@ -127,3 +127,8 @@ class TestTokenize:
     def test_deterministic(self):
         text = "علاقوں میں، 42 لوگ۔"
         assert tokenize(text) == tokenize(text)
+
+    def test_lone_surrogate_raises_value_error_with_offset(self):
+        with pytest.raises(ValueError, match="offset 1$") as exc_info:
+            tokenize("a\ud800b")
+        assert not isinstance(exc_info.value, UnicodeError)

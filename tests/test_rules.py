@@ -137,6 +137,26 @@ class TestParse:
         assert len(rs.rules) == 2
 
 
+class TestRuleSet:
+    @pytest.mark.parametrize("rules,rule_id", [
+        ((AffixRule(S, "ی"), AffixRule(S, "ی", "ا")), "S:ی"),
+        ((AffixRule(P, "نو"),) * 2, "P:نو"),
+    ])
+    def test_duplicate_built_in_code_raises_naming_it(self, rules, rule_id):
+        with pytest.raises(ValueError, match=f"duplicate rule {rule_id}"):
+            RuleSet(rules)
+
+    def test_buckets_index_each_kind_longest_first(self):
+        rs = parse_rule_file("S\tی\nS\tوں\nP\tنو\nS\tیاں\nS\tات\n")
+        assert [(n, list(b)) for n, b in rs.buckets[S]] == [
+            (3, ["یاں"]),
+            (2, ["وں", "ات"]),
+            (1, ["ی"]),
+        ]
+        assert [(n, list(b)) for n, b in rs.buckets[P]] == [(2, ["نو"])]
+        assert "buckets" not in repr(rs)
+
+
 class TestSerialize:
     def test_round_trip_seven_rules(self):
         rs = parse_rule_file("S\tوں\nS\tے\nS\tات\nS\tیاں\nP\tنو\nP\tلا\nP\tبد\n")

@@ -1,7 +1,12 @@
 import random
+import unicodedata
 
 import pytest
+import regex
+from hypothesis import given, settings, strategies as st
 
+from urdustem import graphemes
+from urdustem.graphemes import ZWNJ
 from urdustem.rules import AffixKind, AffixRule, RuleSet, parse_rule_file
 from urdustem.stemmer import (
     PREFIX_FIRST,
@@ -11,8 +16,8 @@ from urdustem.stemmer import (
     stem_word,
 )
 
-from conftest import random_ruleset, random_word
-from naive_oracle import naive_stem
+from conftest import URDU_LETTERS, random_ruleset, random_word
+from naive_oracle import NaiveRule, naive_stem
 
 S = AffixKind.SUFFIX
 P = AffixKind.PREFIX
@@ -179,3 +184,115 @@ class TestAgainstOracle:
                 suffix_passes=2, prefix_passes=2,
             )
             assert (got.prefix, got.stem, got.suffix, got.exception_hit, got.applied) == expected
+
+
+HARAKAT = "".join(chr(cp) for cp in range(0x064B, 0x0653))
+# Marks that compose with a preceding alif, waw or yeh under NFC.
+COMPOSING = "\u0653\u0654\u0655"
+
+
+def _cluster(alphabet: str):
+    return st.tuples(
+        st.sampled_from(alphabet), st.text(alphabet=HARAKAT + ZWNJ, max_size=2)
+    ).map("".join)
+
+
+def _nfc_clusters(clusters) -> str:
+    return unicodedata.normalize("NFC", "".join(clusters))
+
+
+@st.composite
+def _rule_sets(draw, pattern, replacement):
+    """A RuleSet of random rules, unique per (kind, pattern)."""
+    rules: dict[tuple[str, str], AffixRule] = {}
+    for _ in range(draw(st.integers(1, 8))):
+        kind, pat = draw(st.sampled_from("PS")), draw(pattern)
+        rep = draw(replacement)
+        if graphemes.count(rep) > graphemes.count(pat) or rep == pat:
+            rep = ""
+        min_stem = draw(st.sampled_from([None, 1, 2, 3]))
+        rules.setdefault((kind, pat), AffixRule(AffixKind(kind), pat, rep, min_stem))
+    return RuleSet(tuple(rules.values()), default_min_stem=draw(st.integers(1, 3)))
+
+
+class TestRecodingKeepsNfc:
+    def test_maddah_replacement_composes_with_alif(self):
+        rs = RuleSet((AffixRule(S, "بی", "\u0653"),))
+        res = stem_word("کتابی", rs)
+        assert res.stem == "کت\u0622"
+        assert unicodedata.is_normalized("NFC", res.stem)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rs=_rule_sets(
+            st.text(alphabet="اوی" + URDU_LETTERS[:6], min_size=1, max_size=3),
+            st.text(alphabet="اوی" + COMPOSING + HARAKAT, max_size=3),
+        ),
+        words=st.lists(st.text(alphabet="اوی" + URDU_LETTERS[:6], min_size=1, max_size=8),
+                       min_size=1, max_size=10),
+        passes=st.integers(1, 2),
+    )
+    def test_stems_are_nfc_and_stem_again(self, rs, words, passes):
+        cfg = StemConfig(max_suffix_passes=passes, max_prefix_passes=passes)
+        for word in words:
+            stem = stem_word(word, rs, cfg).stem
+            assert unicodedata.is_normalized("NFC", stem)
+            stem_word(stem, rs, cfg)  # never raises StemError
+
+
+@st.composite
+def _marked_cases(draw):
+    """Words of letters, harakat and ZWNJ, and a rule set over them."""
+    clusters = st.lists(_cluster("ابتوی" + ZWNJ), min_size=1, max_size=7)
+    words = draw(st.lists(clusters.map(_nfc_clusters), min_size=1, max_size=10))
+    # Half the patterns are word edges, so that most words hit a rule.
+    edges = sorted({
+        "".join(edge)
+        for w in words
+        for n in (1, 2, 3)
+        for edge in (graphemes.split(w)[:n], graphemes.split(w)[-n:])
+    })
+    rs = draw(_rule_sets(
+        st.one_of(st.sampled_from(edges), clusters.map(lambda c: _nfc_clusters(c[:3]))),
+        st.text(alphabet="ابتوی", max_size=2),
+    ))
+    return rs, words
+
+
+class TestMarkedWordsAgainstOracle:
+    """Words with harakat and ZWNJ, checked against the code-point oracle
+    by mapping each grapheme cluster to one private-use code point."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_marked_cases(), passes=st.integers(1, 2))
+    def test_marked_words_match_brute_force(self, case, passes):
+        rs, words = case
+        for text in words + [r.pattern for r in rs.rules]:
+            assert graphemes.split(text) == regex.findall(r"\X", text)
+
+        code_points: dict[str, str] = {}
+
+        def mapped(text):
+            if text is None:
+                return None
+            return "".join(
+                code_points.setdefault(c, chr(0xE000 + len(code_points)))
+                for c in graphemes.split(text)
+            )
+
+        naive_rules = [
+            NaiveRule(r.kind.value, mapped(r.pattern), mapped(r.replacement), r.min_stem)
+            for r in rs.rules
+        ]
+        cfg = StemConfig(max_suffix_passes=passes, max_prefix_passes=passes)
+        for word in words:
+            got = stem_word(word, rs, cfg)
+            applied = tuple(f"{a[0]}:{mapped(a[2:])}" for a in got.applied)
+            expected = naive_stem(
+                mapped(word), naive_rules, frozenset(), rs.default_min_stem,
+                suffix_passes=passes, prefix_passes=passes,
+            )
+            assert (
+                mapped(got.prefix), mapped(got.stem), mapped(got.suffix),
+                got.exception_hit, applied,
+            ) == expected
