@@ -90,18 +90,27 @@ def _char_class(ch: str) -> TokenKind | None:
     return TokenKind.OTHER
 
 
+class _ClassCache(dict):
+    """``_char_class`` memo for one ``tokenize`` call."""
+
+    def __missing__(self, ch: str) -> TokenKind | None:
+        kind = self[ch] = _char_class(ch)
+        return kind
+
+
 def tokenize(text: str) -> list[Token]:
     """Segment normalized text into tokens of maximal same-class runs.
 
     Whitespace separates tokens and is emitted as no token; concatenating
     token surfaces with the skipped separators reconstructs the input.
-    Raises :class:`ValueError` naming the code-point offset of the first
-    lone surrogate, which has no UTF-8 byte span.
+    Each distinct character is classified once per call.  Raises
+    :class:`ValueError` naming the code-point offset of the first lone
+    surrogate, which has no UTF-8 byte span.
     """
     tokens: list[Token] = []
     offset = 0
     try:
-        for kind, run in groupby(text, _char_class):
+        for kind, run in groupby(text, _ClassCache().__getitem__):
             surface = "".join(run)
             end = offset + len(surface.encode())
             if kind is not None:

@@ -20,11 +20,17 @@ def split(text: str) -> list[str]:
     """Split *text* into grapheme clusters."""
     clusters: list[str] = []
     for ch in text:
+        # extends_cluster(ch), inlined: this loop runs for every word.
         if clusters and (ch in _EXTENDERS or unicodedata.category(ch).startswith("M")):
             clusters[-1] += ch
         else:
             clusters.append(ch)
     return clusters
+
+
+def extends_cluster(ch: str) -> bool:
+    """Whether *ch* joins the preceding cluster instead of starting one."""
+    return ch in _EXTENDERS or unicodedata.category(ch).startswith("M")
 
 
 def count(text: str) -> int:

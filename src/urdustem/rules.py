@@ -20,6 +20,10 @@ the directives::
 Fields are not trimmed: a pattern may legitimately end in a space
 (e.g. a prefix that consumes the following separator).  File content is
 NFC-normalized on read; a leading UTF-8 byte-order mark is ignored.
+
+Rules that could never fire are rejected: a suffix pattern starting
+with a combining mark or joiner (which belongs to the preceding
+grapheme cluster), and a non-NFC pattern, replacement or exception word.
 """
 
 import unicodedata
@@ -61,6 +65,14 @@ class AffixRule:
     def __post_init__(self) -> None:
         if graphemes.count(self.pattern) < 1:
             raise ValueError("affix pattern must have at least one grapheme")
+        for name, text in (("pattern", self.pattern), ("replacement", self.replacement)):
+            if not unicodedata.is_normalized("NFC", text):
+                raise ValueError(f"{name} {text!r} is not NFC")
+        if self.kind is AffixKind.SUFFIX and graphemes.extends_cluster(self.pattern[0]):
+            # Such a suffix could only match a whole word, leaving no stem.
+            raise ValueError(
+                f"suffix pattern {self.pattern!r} starts with a combining mark or joiner"
+            )
         if graphemes.count(self.replacement) > graphemes.count(self.pattern):
             raise ValueError(
                 "replacement must not be longer than the pattern "
@@ -101,6 +113,9 @@ class RuleSet:
             raise ValueError("default_min_stem must be positive")
         if any(not w for w in self.exceptions):
             raise ValueError("exception words must be non-empty")
+        for word in self.exceptions:
+            if not unicodedata.is_normalized("NFC", word):
+                raise ValueError(f"exception word {word!r} is not NFC")
         buckets: dict[AffixKind, dict[int, dict[str, AffixRule]]] = {k: {} for k in AffixKind}
         for rule in self.rules:
             bucket = buckets[rule.kind].setdefault(rule.pattern_length, {})

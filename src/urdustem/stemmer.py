@@ -5,6 +5,8 @@ probe per pattern length, longest first, and detaches the first affix
 found that leaves a long-enough residual stem.  A word matching nothing
 is returned unchanged; exception-listed words are returned verbatim
 before any rule is consulted.  A recoded stem is renormalized to NFC.
+``stem_batch`` stems each distinct word once, so repeats share one
+:class:`StemResult`.
 """
 
 import unicodedata
@@ -140,12 +142,18 @@ def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemR
 def stem_batch(words, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> list[StemResult]:
     """Stem a sequence of words, order-preserving.
 
-    A per-word error is re-raised with the offending index.
+    Each distinct word is stemmed once and its repeats share that one
+    (frozen) result.  A per-word error is re-raised with the offending
+    index.
     """
+    seen: dict[str, StemResult] = {}
     results: list[StemResult] = []
     for i, word in enumerate(words):
-        try:
-            results.append(stem_word(word, rs, cfg))
-        except StemError as exc:
-            raise StemError(f"word {i}: {exc}") from exc
+        result = seen.get(word)
+        if result is None:
+            try:
+                result = seen[word] = stem_word(word, rs, cfg)
+            except StemError as exc:
+                raise StemError(f"word {i}: {exc}") from exc
+        results.append(result)
     return results

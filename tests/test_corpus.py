@@ -1,15 +1,28 @@
 import random
 import unicodedata
+from itertools import groupby
 
 import pytest
 from hypothesis import given, strategies as st
 
-from urdustem.corpus import Token, TokenKind, normalize, tokenize
+from urdustem.corpus import Token, TokenKind, _char_class, normalize, tokenize
 from urdustem.graphemes import ZWNJ
 
 from conftest import URDU_LETTERS, random_word
 
 DIACRITICS = "ًٌٍَُِّْ"
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    """Classify every character afresh, with no per-call class cache."""
+    tokens, offset = [], 0
+    for kind, run in groupby(text, _char_class):
+        surface = "".join(run)
+        end = offset + len(surface.encode())
+        if kind is not None:
+            tokens.append(Token(surface, kind, offset, end))
+        offset = end
+    return tokens
 
 
 def noisy_text(rng: random.Random, n_chars: int) -> str:
@@ -132,3 +145,7 @@ class TestTokenize:
         with pytest.raises(ValueError, match="offset 1$") as exc_info:
             tokenize("a\ud800b")
         assert not isinstance(exc_info.value, UnicodeError)
+
+    @given(st.text(alphabet=URDU_LETTERS + DIACRITICS + ZWNJ + "0123۴۵" + "۔، \n"))
+    def test_matches_per_character_reference(self, text):
+        assert tokenize(text) == reference_tokenize(text)

@@ -1,7 +1,10 @@
+import unicodedata
+
 import pytest
 from hypothesis import given, strategies as st
 
 from urdustem import graphemes
+from urdustem.graphemes import ZWJ, ZWNJ
 from urdustem.rules import (
     AffixKind,
     AffixRule,
@@ -11,6 +14,7 @@ from urdustem.rules import (
     parse_rule_file,
     serialize_rule_set,
 )
+from urdustem.stemmer import stem_word
 
 S = AffixKind.SUFFIX
 P = AffixKind.PREFIX
@@ -39,6 +43,48 @@ class TestAffixRule:
 
     def test_rule_id(self):
         assert AffixRule(P, "بد").rule_id == "P:بد"
+
+    # A mark or joiner joins the preceding grapheme cluster, so a suffix
+    # edge can only start with one when it is the whole word.
+    @pytest.mark.parametrize("pattern", ["\u064eی", ZWNJ + "ی"], ids=["fatha", "zwnj"])
+    def test_suffix_starting_inside_a_cluster_rejected(self, pattern):
+        with pytest.raises(ValueError, match="combining mark or joiner"):
+            AffixRule(S, pattern)
+        with pytest.raises(RuleParseError, match="^line 1: ") as exc_info:
+            parse_rule_file(f"S\t{pattern}\n")
+        assert exc_info.value.line == 1
+
+    def test_prefix_starting_with_a_mark_still_fires(self):
+        rs = parse_rule_file("P\t\u064eک\n")
+        assert stem_word("\u064eکتاب", rs).stem == "تاب"
+
+    @pytest.mark.parametrize("pattern,replacement,field", [
+        ("\u0627\u0653", "", "pattern"),  # alif + maddah, NFC is U+0622
+        ("بی", "\u0627\u0653", "replacement"),
+    ])
+    def test_non_nfc_field_rejected(self, pattern, replacement, field):
+        with pytest.raises(ValueError, match=f"^{field} .* is not NFC"):
+            AffixRule(S, pattern, replacement)
+        assert AffixRule(S, unicodedata.normalize("NFC", pattern),
+                         unicodedata.normalize("NFC", replacement))
+
+
+class TestEveryAcceptedRuleFires:
+    @given(
+        kind=st.sampled_from([P, S]),
+        pattern=st.text(alphabet="ابکی\u064e\u0650\u0653\u0654" + ZWNJ + ZWJ,
+                        min_size=1, max_size=4),
+        min_stem=st.sampled_from([None, 1, 2, 3]),
+    )
+    def test_accepted_rule_fires_next_to_a_plain_stem(self, kind, pattern, min_stem):
+        try:
+            rule = AffixRule(kind, pattern, min_stem=min_stem)
+        except ValueError:
+            return
+        rs = RuleSet((rule,))
+        stem = "ب" * rs.effective_min_stem(rule)
+        word = unicodedata.normalize("NFC", stem + pattern if kind is S else pattern + stem)
+        assert stem_word(word, rs).applied == (rule.rule_id,)
 
 
 class TestOrderRules:
@@ -155,6 +201,11 @@ class TestRuleSet:
         ]
         assert [(n, list(b)) for n, b in rs.buckets[P]] == [(2, ["نو"])]
         assert "buckets" not in repr(rs)
+
+    def test_non_nfc_exception_word_rejected(self):
+        with pytest.raises(ValueError, match="exception word .* is not NFC"):
+            RuleSet((), frozenset({"کتا\u0627\u0653"}))
+        assert RuleSet((), frozenset({"کت\u0622"})).exceptions == {"کت\u0622"}
 
 
 class TestSerialize:

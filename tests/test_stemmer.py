@@ -5,11 +5,12 @@ import pytest
 import regex
 from hypothesis import given, settings, strategies as st
 
-from urdustem import graphemes
+from urdustem import graphemes, stemmer
 from urdustem.graphemes import ZWNJ
 from urdustem.rules import AffixKind, AffixRule, RuleSet, parse_rule_file
 from urdustem.stemmer import (
     PREFIX_FIRST,
+    SUFFIX_FIRST,
     StemConfig,
     StemError,
     stem_batch,
@@ -149,6 +150,9 @@ class TestBatch:
     def test_error_carries_index(self, default_rules):
         with pytest.raises(StemError, match="word 1"):
             stem_batch(["قلم", ""], default_rules)
+        # A bad word is never remembered: its first occurrence raises.
+        with pytest.raises(StemError, match="^word 1: "):
+            stem_batch(["قلم", "", "قلم", ""], default_rules)
 
     def test_large_random_batch_matches_per_word_path(self, default_rules):
         rng = random.Random(7)
@@ -156,6 +160,36 @@ class TestBatch:
         batch = stem_batch(words, default_rules)
         singles = [stem_word(w, default_rules) for w in words]
         assert batch == singles
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        words=st.lists(
+            st.sampled_from([w for w, *_ in TABLE2_EXPECTED])
+            | st.text(alphabet="اوی" + URDU_LETTERS[:6], min_size=1, max_size=6),
+            min_size=1, max_size=5,
+        ).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=30)),
+        order=st.sampled_from([SUFFIX_FIRST, PREFIX_FIRST]),
+        passes=st.integers(1, 2),
+    )
+    def test_repeated_words_match_single_calls(self, table2_rules, words, order, passes):
+        cfg = StemConfig(max_suffix_passes=passes, max_prefix_passes=passes, order=order)
+        batch = stem_batch(words, table2_rules, cfg)
+        assert batch == [stem_word(w, table2_rules, cfg) for w in words]
+        first = {}
+        for word, result in zip(words, batch):
+            assert result is first.setdefault(word, result)
+
+    def test_each_distinct_word_stemmed_once(self, default_rules, monkeypatch):
+        calls = []
+
+        def counting(word, rs, cfg):
+            calls.append(word)
+            return stem_word(word, rs, cfg)
+
+        monkeypatch.setattr(stemmer, "stem_word", counting)
+        words = ["علاقوں", "قلم", "علاقوں", "نوجوان", "قلم", "علاقوں"]
+        stem_batch(words, default_rules)
+        assert sorted(calls) == sorted(set(words))
 
 
 class TestAgainstOracle:
@@ -207,7 +241,9 @@ def _rule_sets(draw, pattern, replacement):
     rules: dict[tuple[str, str], AffixRule] = {}
     for _ in range(draw(st.integers(1, 8))):
         kind, pat = draw(st.sampled_from("PS")), draw(pattern)
-        rep = draw(replacement)
+        if kind == "S" and graphemes.extends_cluster(pat[0]):
+            continue  # a suffix that could never fire; AffixRule rejects it
+        rep = unicodedata.normalize("NFC", draw(replacement))
         if graphemes.count(rep) > graphemes.count(pat) or rep == pat:
             rep = ""
         min_stem = draw(st.sampled_from([None, 1, 2, 3]))
