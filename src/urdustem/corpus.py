@@ -12,7 +12,7 @@ from enum import Enum
 from importlib import resources
 from itertools import groupby
 
-from urdustem.graphemes import ZWNJ, ZWJ
+from urdustem.graphemes import extends_cluster
 
 # Arabic-script combining marks removed by strip_diacritics: tashkeel
 # (fathatan..sukun and the small high marks), Quranic annotation signs,
@@ -78,10 +78,10 @@ def _char_class(ch: str) -> TokenKind | None:
     # None = separator (whitespace), never part of a token.
     if ch.isspace():
         return None
-    if ch in (ZWNJ, ZWJ):
-        return TokenKind.WORD  # word-internal formatting characters
+    if extends_cluster(ch):
+        return TokenKind.WORD  # combining marks and word-internal joiners
     cat = unicodedata.category(ch)
-    if cat.startswith("L") or cat.startswith("M"):
+    if cat.startswith("L"):
         return TokenKind.WORD
     if cat == "Nd":
         return TokenKind.NUMBER

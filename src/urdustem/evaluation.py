@@ -1,9 +1,11 @@
 """Accuracy metric and error taxonomy for stemmer output.
 
-Accuracy is ``correct / total * 100`` in exact rational arithmetic;
-wrong answers are classified as over-stemming (the system removed stem
-material), under-stemming (affix material was left on the stem) or other
-(orthogonal mismatch, e.g. a recoding divergence).
+Accuracy is ``correct / total * 100`` in exact rational arithmetic.
+Each wrong answer is classified by comparing grapheme clusters:
+under-stemming when the expected stem's clusters occur in order, gaps
+allowed, inside the produced stem and are fewer; over-stemming when the
+produced stem's clusters occur that way inside the expected stem; other
+when neither holds (e.g. a recoding divergence).
 """
 
 import dataclasses
@@ -75,47 +77,34 @@ def _is_correct(result: StemResult, gold: GoldEntry, stem_only: bool) -> bool:
     return result.prefix == gold.expected_prefix and result.suffix == gold.expected_suffix
 
 
-def _proper_substring(needle: str, haystack: str) -> bool:
-    """True when *needle* occurs contiguously in *haystack*, grapheme-wise,
-    and is strictly shorter."""
-    n = graphemes.split(needle)
-    h = graphemes.split(haystack)
-    if len(n) >= len(h):
+def _proper_subsequence(needle: list[str], haystack: list[str]) -> bool:
+    """True when the clusters of *needle* occur in order (gaps allowed)
+    in *haystack* and *needle* has fewer clusters."""
+    if len(needle) >= len(haystack):
         return False
-    return any(h[i : i + len(n)] == n for i in range(len(h) - len(n) + 1))
-
-
-def _proper_subsequence(needle: str, haystack: str) -> bool:
-    """True when *needle*'s graphemes occur in order (with gaps allowed)
-    inside *haystack* and *needle* is strictly shorter."""
-    n = graphemes.split(needle)
-    h = graphemes.split(haystack)
-    if len(n) >= len(h):
-        return False
-    it = iter(h)
-    return all(g in it for g in n)
+    it = iter(haystack)
+    return all(g in it for g in needle)
 
 
 def classify_error(result: StemResult, gold: GoldEntry, stem_only: bool = False) -> ErrorClass:
     """Classify one (result, gold) pair.
 
-    Under-stemming: the expected stem survives inside the produced stem
-    (too little was removed).  Over-stemming: the produced stem is a
-    fragment of the expected stem -- checked first contiguously, then as
-    an in-order grapheme subsequence so that stems mangled by dropping an
-    interior letter still count as over-stemming rather than "other".
+    Under-stemming: the expected stem is a proper in-order grapheme
+    subsequence of the produced stem (too little was removed).
+    Over-stemming: the produced stem is a proper in-order grapheme
+    subsequence of the expected stem (too much was removed, contiguously
+    or from the interior).  At most one holds, since each needs the
+    needle to be strictly shorter; anything else wrong is "other".
     """
     if result.word != gold.word:
         raise EvalError(f"result word {result.word!r} does not match gold word {gold.word!r}")
     if _is_correct(result, gold, stem_only):
         return ErrorClass.CORRECT
-    if _proper_substring(gold.expected_stem, result.stem):
+    expected = graphemes.split(gold.expected_stem)
+    produced = graphemes.split(result.stem)
+    if _proper_subsequence(expected, produced):
         return ErrorClass.UNDER_STEMMING
-    if _proper_substring(result.stem, gold.expected_stem):
-        return ErrorClass.OVER_STEMMING
-    if _proper_subsequence(gold.expected_stem, result.stem):
-        return ErrorClass.UNDER_STEMMING
-    if _proper_subsequence(result.stem, gold.expected_stem):
+    if _proper_subsequence(produced, expected):
         return ErrorClass.OVER_STEMMING
     return ErrorClass.OTHER
 

@@ -145,23 +145,17 @@ def generate_gold(lexicon) -> list[GoldEntry]:
     entries: list[GoldEntry] = []
     for item in lexicon:
         if isinstance(item, ParadigmEntry):
-            for number, case in FEATURE_ORDER:
-                surface = inflect_noun(item, number, case)
-                entries.append(
-                    GoldEntry(surface, item.lemma, expected_suffix=_surface_suffix(item.lemma, surface))
-                )
+            lemma = item.lemma
+            surfaces = [inflect_noun(item, number, case) for number, case in FEATURE_ORDER]
         elif isinstance(item, VerbRoot):
-            for surface in inflect_verb(item.root):
-                entries.append(
-                    GoldEntry(surface, item.root, expected_suffix=_surface_suffix(item.root, surface))
-                )
+            lemma, surfaces = item.root, inflect_verb(item.root)
         elif isinstance(item, Adjective):
-            for surface in inflect_adjective(item.lemma):
-                entries.append(
-                    GoldEntry(surface, item.lemma, expected_suffix=_surface_suffix(item.lemma, surface))
-                )
+            lemma, surfaces = item.lemma, inflect_adjective(item.lemma)
         else:
             raise ParadigmError(f"unsupported lexicon item {item!r}")
+        entries.extend(
+            GoldEntry(s, lemma, expected_suffix=_surface_suffix(lemma, s)) for s in surfaces
+        )
     return entries
 
 

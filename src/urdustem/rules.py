@@ -63,7 +63,7 @@ class AffixRule:
     min_stem: int | None = None
 
     def __post_init__(self) -> None:
-        if graphemes.count(self.pattern) < 1:
+        if self.pattern_length < 1:
             raise ValueError("affix pattern must have at least one grapheme")
         for name, text in (("pattern", self.pattern), ("replacement", self.replacement)):
             if not unicodedata.is_normalized("NFC", text):
@@ -73,7 +73,7 @@ class AffixRule:
             raise ValueError(
                 f"suffix pattern {self.pattern!r} starts with a combining mark or joiner"
             )
-        if graphemes.count(self.replacement) > graphemes.count(self.pattern):
+        if graphemes.count(self.replacement) > self.pattern_length:
             raise ValueError(
                 "replacement must not be longer than the pattern "
                 f"({self.replacement!r} vs {self.pattern!r})"

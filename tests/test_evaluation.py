@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from urdustem import graphemes
 from urdustem.evaluation import (
     ErrorClass,
     EvalError,
@@ -16,6 +18,7 @@ from urdustem.evaluation import (
     report_kv,
     summarize,
 )
+from urdustem.graphemes import ZWNJ
 from urdustem.stemmer import StemResult
 
 from conftest import random_word
@@ -23,6 +26,55 @@ from conftest import random_word
 
 def result(word, stem, prefix=None, suffix=None):
     return StemResult(word=word, stem=stem, prefix=prefix, suffix=suffix)
+
+
+def _cascade_classify(result, gold, stem_only):
+    """Reference: the four-step cascade classify_error used to run --
+    contiguous under, contiguous over, in-order under, in-order over."""
+
+    def proper_substring(needle, haystack):
+        n, h = graphemes.split(needle), graphemes.split(haystack)
+        return len(n) < len(h) and any(
+            h[i : i + len(n)] == n for i in range(len(h) - len(n) + 1)
+        )
+
+    def proper_subsequence(needle, haystack):
+        n, h = graphemes.split(needle), graphemes.split(haystack)
+        it = iter(h)
+        return len(n) < len(h) and all(g in it for g in n)
+
+    if result.stem == gold.expected_stem and (
+        stem_only
+        or (result.prefix, result.suffix) == (gold.expected_prefix, gold.expected_suffix)
+    ):
+        return ErrorClass.CORRECT
+    for test in (proper_substring, proper_subsequence):
+        if test(gold.expected_stem, result.stem):
+            return ErrorClass.UNDER_STEMMING
+        if test(result.stem, gold.expected_stem):
+            return ErrorClass.OVER_STEMMING
+    return ErrorClass.OTHER
+
+
+# Letters, fatha, maddah and ZWNJ: the marks make multi-code-point clusters.
+_CLASSIFY_ALPHABET = "ابتوی\u064e\u0653" + ZWNJ
+
+
+@st.composite
+def _classify_cases(draw):
+    """A result and a gold entry for one word.  Both stems are usually
+    cluster subsequences of the word, so both error directions are common."""
+    word = draw(st.text(alphabet=_CLASSIFY_ALPHABET, min_size=1, max_size=8))
+    clusters = graphemes.split(word)
+
+    def stem():
+        keep = draw(st.lists(st.booleans(), min_size=len(clusters), max_size=len(clusters)))
+        kept = "".join(c for c, k in zip(clusters, keep) if k)
+        return kept or draw(st.text(alphabet=_CLASSIFY_ALPHABET, min_size=1, max_size=4))
+
+    affix = st.sampled_from([None, "ں", "وں"])
+    res = result(word, stem(), draw(affix), draw(affix))
+    return res, GoldEntry(word, stem(), draw(affix), draw(affix))
 
 
 class TestClassify:
@@ -61,6 +113,22 @@ class TestClassify:
     def test_word_mismatch_errors(self):
         with pytest.raises(EvalError):
             classify_error(result("سوال", "سوال"), GoldEntry("سوالات", "سوال"))
+
+    def test_non_contiguous_under_stemming(self):
+        # کتب is in کتاب only with a gap (the alif is skipped).
+        got = classify_error(result("کتابیں", "کتاب", suffix="یں"), GoldEntry("کتابیں", "کتب"))
+        assert got is ErrorClass.UNDER_STEMMING
+
+    def test_non_contiguous_over_stemming(self):
+        # علقہ lost the interior alif of علاقہ.
+        got = classify_error(result("علاقوں", "علقہ", suffix="وں"), GoldEntry("علاقوں", "علاقہ", None, "وں"))
+        assert got is ErrorClass.OVER_STEMMING
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=_classify_cases(), stem_only=st.booleans())
+    def test_matches_former_four_step_cascade(self, case, stem_only):
+        res, gold = case
+        assert classify_error(res, gold, stem_only) is _cascade_classify(res, gold, stem_only)
 
 
 class TestEvaluate:
