@@ -19,7 +19,7 @@ import sys
 from urdustem import corpus, evaluation, morphology
 from urdustem.evaluation import EvalError, GoldFileError
 from urdustem.morphology import ParadigmError
-from urdustem.rules import RuleParseError, RuleSet, parse_rule_file
+from urdustem.rules import RuleParseError, RuleSet, _rule_fields, parse_rule_file
 from urdustem.stemmer import (
     PREFIX_FIRST,
     SUFFIX_FIRST,
@@ -31,6 +31,9 @@ from urdustem.stemmer import (
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
+
+# One encoder for every --json line; json.dumps would build one per call.
+_json_line = json.JSONEncoder(ensure_ascii=False).encode
 
 
 class CliError(Exception):
@@ -103,10 +106,9 @@ def cmd_stem(args) -> int:
     out = []
     for r in results:
         if args.json:
-            out.append(json.dumps(
+            out.append(_json_line(
                 {"word": r.word, "prefix": r.prefix, "stem": r.stem, "suffix": r.suffix,
-                 "applied": list(r.applied), "exception": r.exception_hit},
-                ensure_ascii=False,
+                 "applied": list(r.applied), "exception": r.exception_hit}
             ))
         else:
             out.append("\t".join((r.word, _clean_field(r.prefix), r.stem, _clean_field(r.suffix))))
@@ -143,10 +145,7 @@ def cmd_rules(args) -> int:
         )
         return EXIT_OK
     out = [f"suffixes: {rs.suffix_count}", f"prefixes: {rs.prefix_count}"]
-    for rule in rs.rules:
-        fields = [rule.kind.value, rule.pattern, rule.replacement,
-                  str(rule.min_stem) if rule.min_stem is not None else ""]
-        out.append("\t".join(fields))
+    out += ["\t".join(_rule_fields(rule)) for rule in rs.rules]
     sys.stdout.write("".join(line + "\n" for line in out))
     return EXIT_OK
 

@@ -15,11 +15,13 @@ from itertools import groupby
 from urdustem.graphemes import extends_cluster
 
 # Arabic-script combining marks removed by strip_diacritics: tashkeel
-# (fathatan..sukun and the small high marks), Quranic annotation signs,
-# plus the tatweel elongation character.
+# (fathatan..sukun and the small high marks), the superscript alef (Urdu
+# khari zabar), Quranic annotation signs, plus the tatweel elongation
+# character.
 _DIACRITIC_RANGES = (
     (0x064B, 0x065F),
     (0x0610, 0x061A),
+    (0x0670, 0x0670),
     (0x06D6, 0x06DC),
     (0x06DF, 0x06E4),
     (0x06E7, 0x06E8),

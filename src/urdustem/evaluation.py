@@ -139,7 +139,7 @@ def evaluate(results, gold, stem_only: bool = False) -> EvalReport:
         else:
             other += 1
 
-    lengths = [graphemes.count(g.word) for g in gold]
+    lengths = [graphemes.count(w) for w in {g.word for g in gold}]
     total = len(gold)
     return EvalReport(
         total_words=total,

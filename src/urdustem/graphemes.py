@@ -5,7 +5,10 @@ not code points: an Urdu base letter plus any trailing combining marks
 counts as one unit.  The segmentation here is deliberately small -- a
 cluster is a base character followed by Unicode mark characters (category
 M*) and the zero-width (non-)joiners, which is sufficient for
-Perso-Arabic text.
+Perso-Arabic text.  Text made only of letters (``str.isalpha``, category
+L*) has no extender, so ``split`` returns its code points without the
+per-character loop; the stemmer splits each word once and slices the
+cluster list from then on.
 """
 
 import unicodedata
@@ -18,6 +21,9 @@ _EXTENDERS = {ZWNJ, ZWJ}
 
 def split(text: str) -> list[str]:
     """Split *text* into grapheme clusters."""
+    if text.isalpha():
+        # Every code point is L*; extenders are M*, ZWNJ and ZWJ (Cf).
+        return list(text)
     clusters: list[str] = []
     for ch in text:
         # extends_cluster(ch), inlined: this loop runs for every word.

@@ -83,7 +83,7 @@ class AffixRule:
         if self.min_stem is not None and self.min_stem < 1:
             raise ValueError("min_stem must be positive")
 
-    @property
+    @cached_property
     def rule_id(self) -> str:
         return f"{self.kind.value}:{self.pattern}"
 
@@ -234,6 +234,11 @@ def _check_writable(text: str, what: str) -> None:
         raise ValueError(f"{what} holds a tab, CR or LF, which a rule file cannot express")
 
 
+def _rule_fields(rule: AffixRule) -> list[str]:
+    """The four rule-file fields of *rule*; an absent ``min_stem`` is ``""``."""
+    return [rule.kind.value, rule.pattern, rule.replacement, str(rule.min_stem or "")]
+
+
 def serialize_rule_set(rs: RuleSet) -> str:
     """Render a rule set in canonical form.
 
@@ -259,10 +264,6 @@ def serialize_rule_set(rs: RuleSet) -> str:
             raise ValueError(
                 f"rule {rule.rule_id!r}: a digit-only replacement needs an explicit min_stem"
             )
-        fields = [rule.kind.value, rule.pattern]
-        if rule.min_stem is not None:
-            fields += [rule.replacement, str(rule.min_stem)]
-        elif rule.replacement:
-            fields.append(rule.replacement)
-        lines.append("\t".join(fields))
+        # Trailing empty fields are dropped; no field holds a tab (checked above).
+        lines.append("\t".join(_rule_fields(rule)).rstrip("\t"))
     return "\n".join(lines) + "\n"

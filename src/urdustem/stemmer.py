@@ -5,8 +5,9 @@ probe per pattern length, longest first, and detaches the first affix
 found that leaves a long-enough residual stem.  A word matching nothing
 is returned unchanged; exception-listed words are returned verbatim
 before any rule is consulted.  A recoded stem is renormalized to NFC.
-``stem_batch`` stems each distinct word once, so repeats share one
-:class:`StemResult`.
+Each word is split into grapheme clusters once; every pass slices that
+cluster list, and only a recoding splits again.  ``stem_batch`` stems
+each distinct word once, so repeats share one :class:`StemResult`.
 """
 
 import unicodedata
@@ -69,25 +70,31 @@ class StemResult:
         return self.prefix is None and self.suffix is None and not self.exception_hit
 
 
-def _scan(working: str, rs: RuleSet, kind: AffixKind):
-    """Longest legal rule of *kind* for *working*, or None.
+def _scan(wg: list[str], buckets, suffix: bool, rs: RuleSet):
+    """Longest legal rule in *buckets* for the cluster list *wg*, or None.
 
-    Probes the word edge once per pattern length in ``rs.buckets``.
-    Returns ``(rule, detached_surface, new_working)``.
+    Probes the word edge (the end when *suffix*, else the start) once per
+    pattern length in *buckets*, one kind's entry of ``rs.buckets``.
+    Returns ``(rule, detached_surface, residual_clusters)``.
+
+    Without a replacement the residual is a slice of *wg*, and it equals
+    ``graphemes.split`` of the joined residual: a suffix strip keeps a
+    leading run of clusters, and a prefix strip keeps a run that starts
+    at a cluster other than the first, which always starts with a
+    non-extender.  Only a recoding splits again, after NFC, since a
+    replacement may start with a mark that composes with the residual
+    (e.g. alif + maddah).
     """
-    wg = graphemes.split(working)
-    suffix = kind is AffixKind.SUFFIX
-    for plen, by_pattern in rs.buckets[kind]:
+    for plen, by_pattern in buckets:
         edge = "".join(wg[-plen:] if suffix else wg[:plen])
         rule = by_pattern.get(edge)
         if rule is not None and len(wg) - plen >= rs.effective_min_stem(rule):
-            rest = "".join(wg[:-plen] if suffix else wg[plen:])
-            new_working = rest + rule.replacement if suffix else rule.replacement + rest
-            if rule.replacement:
-                # A replacement may start with a combining mark that
-                # composes with the residual (e.g. alif + maddah).
-                new_working = unicodedata.normalize("NFC", new_working)
-            return rule, edge, new_working
+            rest = wg[:-plen] if suffix else wg[plen:]
+            if not rule.replacement:
+                return rule, edge, rest
+            kept = "".join(rest)
+            recoded = kept + rule.replacement if suffix else rule.replacement + kept
+            return rule, edge, graphemes.split(unicodedata.normalize("NFC", recoded))
     return None
 
 
@@ -106,24 +113,24 @@ def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemR
         return StemResult(word=word, stem=word, exception_hit=True)
 
     phases = [
-        (AffixKind.SUFFIX, cfg.max_suffix_passes),
-        (AffixKind.PREFIX, cfg.max_prefix_passes),
+        (True, rs.buckets[AffixKind.SUFFIX], cfg.max_suffix_passes),
+        (False, rs.buckets[AffixKind.PREFIX], cfg.max_prefix_passes),
     ]
     if cfg.order == PREFIX_FIRST:
         phases.reverse()
 
-    working = word
+    wg = graphemes.split(word)
     applied: list[str] = []
     prefix_parts: list[str] = []
     suffix_parts: list[str] = []
-    for kind, passes in phases:
+    for suffix, buckets, passes in phases:
         for _ in range(passes):
-            hit = _scan(working, rs, kind)
+            hit = _scan(wg, buckets, suffix, rs)
             if hit is None:
                 break
-            rule, surface, working = hit
+            rule, surface, wg = hit
             applied.append(rule.rule_id)
-            if kind is AffixKind.SUFFIX:
+            if suffix:
                 # Later-stripped suffixes sit closer to the stem, i.e.
                 # earlier in logical order.
                 suffix_parts.insert(0, surface)
@@ -132,7 +139,7 @@ def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemR
 
     return StemResult(
         word=word,
-        stem=working,
+        stem="".join(wg),
         prefix="".join(prefix_parts) or None,
         suffix="".join(suffix_parts) or None,
         applied=tuple(applied),

@@ -38,6 +38,12 @@ class TestNormalize:
     def test_strips_diacritics(self):
         assert normalize("عَلاقوں", strip_diacritics=True) == "علاقوں"
 
+    def test_strips_every_combining_mark_of_the_arabic_block(self):
+        marks = [chr(cp) for cp in range(0x0600, 0x0700)
+                 if unicodedata.category(chr(cp)).startswith("M")]
+        assert "\u0670" in marks  # superscript alef, Urdu khari zabar
+        assert [m for m in marks if m in normalize("ب" + m)] == []
+
     def test_keeps_diacritics_when_asked(self):
         assert normalize("عَلاقوں", strip_diacritics=False) == "عَلاقوں"
 

@@ -1,6 +1,26 @@
+import sys
+
 from hypothesis import given, strategies as st
 
 from urdustem import graphemes
+from urdustem.graphemes import ZWJ, ZWNJ
+
+from conftest import URDU_LETTERS
+
+HARAKAT = "\u064b\u064c\u064d\u064e\u064f\u0650\u0651\u0652"
+MADDAH = "\u0653"
+TATWEEL = "\u0640"
+
+
+def loop_split(text: str) -> list[str]:
+    """``split`` without the letters-only fast path: one test per code point."""
+    clusters: list[str] = []
+    for ch in text:
+        if clusters and graphemes.extends_cluster(ch):
+            clusters[-1] += ch
+        else:
+            clusters.append(ch)
+    return clusters
 
 
 def test_combining_marks_attach_to_base():
@@ -24,3 +44,21 @@ def test_empty():
 @given(st.text(max_size=40))
 def test_join_of_split_is_identity(text):
     assert "".join(graphemes.split(text)) == text
+
+
+def test_no_letter_extends_a_cluster():
+    # The fast path in split relies on this for every code point.
+    letters = (chr(cp) for cp in range(sys.maxunicode + 1))
+    assert [ch for ch in letters if ch.isalpha() and graphemes.extends_cluster(ch)] == []
+
+
+_MARKS = HARAKAT + MADDAH + ZWNJ + ZWJ
+_ALPHABET = URDU_LETTERS + _MARKS + TATWEEL + "0123456789۰۱۲ "
+
+
+@given(
+    lead=st.sampled_from(["", *_MARKS]),
+    text=st.text(URDU_LETTERS, max_size=12) | st.text(_ALPHABET, max_size=12),
+)
+def test_split_matches_per_character_loop(lead, text):
+    assert graphemes.split(lead + text) == loop_split(lead + text)

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from urdustem import graphemes
+from urdustem.evaluation import parse_gold_file
 from urdustem.graphemes import ZWJ, ZWNJ
+from urdustem.morphology import parse_lexicon_file
 from urdustem.rules import (
     AffixKind,
     AffixRule,
@@ -43,6 +45,13 @@ class TestAffixRule:
 
     def test_rule_id(self):
         assert AffixRule(P, "بد").rule_id == "P:بد"
+
+    def test_cached_rule_id_stays_out_of_eq_hash_and_repr(self):
+        rule = AffixRule(S, "وں", "ہ")
+        assert rule.rule_id is rule.rule_id
+        fresh = AffixRule(S, "وں", "ہ")
+        assert rule == fresh and hash(rule) == hash(fresh)
+        assert repr(rule) == repr(fresh) and "rule_id" not in repr(rule)
 
     # A mark or joiner joins the preceding grapheme cluster, so a suffix
     # edge can only start with one when it is the whole word.
@@ -206,6 +215,36 @@ class TestRuleSet:
         with pytest.raises(ValueError, match="exception word .* is not NFC"):
             RuleSet((), frozenset({"کتا\u0627\u0653"}))
         assert RuleSet((), frozenset({"کت\u0622"})).exceptions == {"کت\u0622"}
+
+
+_TEXT = ["وں", "ہ", "ے", "ات", "بد ", "قلم", "لڑکا", "علاقہ", "کھا", "اچھا"]
+
+
+def _lines(heads, max_rest):
+    """Lines of a head field and up to *max_rest* more, or blank and comment lines."""
+    fields = st.lists(st.sampled_from([*_TEXT, "3", ""]), min_size=1, max_size=max_rest)
+    line = st.builds(lambda head, rest: "\t".join([head, *rest]), st.sampled_from(heads), fields)
+    return st.lists(line | st.sampled_from(["", " ", "# note"]), max_size=6)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("parse,files", [
+    (parse_rule_file, _lines(["S", "P", "#!exception", "#!default-min-stem"], 3)),
+    (parse_gold_file, _lines(_TEXT, 3)),
+    (parse_lexicon_file, _lines(["noun", "verb", "adj"], 1)),
+], ids=["rules", "gold", "lexicon"])
+@given(data=st.data(), last_eol=st.booleans(), bom=st.booleans(),
+       eol=st.sampled_from(["\n", "\r\n"]))
+def test_bom_and_crlf_parse_alike(parse, files, data, last_eol, bom, eol):
+    text = "\n".join(data.draw(files)) + ("\n" if last_eol else "")
+    variant = ("\ufeff" if bom else "") + text.replace("\n", eol)
+    assert _outcome(parse, variant) == _outcome(parse, text)
 
 
 class TestSerialize:

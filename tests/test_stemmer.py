@@ -139,6 +139,27 @@ class TestConfig:
         assert res.prefix == "لا" and res.suffix == "ی" and res.stem == "چار"
 
 
+class TestSingleSplit:
+    @pytest.mark.parametrize("word", [
+        *(row[0] for row in TABLE2_EXPECTED), "قلم", "نولڑکیاں", "بد نوعلاقوں",
+        "عَلاقوں", "خوش" + ZWNJ + "حالیاں", "\u064eکتابیں",
+    ])
+    def test_one_split_per_word_plus_one_per_recoding(self, table2_rules, monkeypatch, word):
+        calls = []
+        real_split = graphemes.split
+
+        def counting(text):
+            calls.append(text)
+            return real_split(text)
+
+        monkeypatch.setattr(graphemes, "split", counting)
+        by_id = {r.rule_id: r for r in table2_rules.rules}
+        res = stem_word(word, table2_rules, StemConfig(max_suffix_passes=2, max_prefix_passes=2))
+        recodings = sum(1 for rule_id in res.applied if by_id[rule_id].replacement)
+        assert calls[0] == word
+        assert len(calls) == 1 + recodings
+
+
 class TestBatch:
     def test_elementwise_equal_to_single_calls(self, default_rules):
         words = [w for w, *_ in TABLE2_EXPECTED]
