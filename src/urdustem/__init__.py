@@ -1,12 +1,14 @@
 """Rule-driven affix-stripping stemmer for Urdu (Perso-Arabic script).
 
-Subpackages:
+Modules:
 
 * ``rules``      -- affix-rule data model and the tab-separated rule-file format
 * ``stemmer``    -- longest-first edge matching with optional recoding
+* ``graphemes``  -- grapheme-cluster splitting and counting
 * ``morphology`` -- inflection generator for synthesizing gold corpora
-* ``corpus``     -- Unicode normalization and tokenization of raw text
+* ``corpus``     -- data-file line framing, Unicode normalization and tokenization
 * ``evaluation`` -- accuracy metric and over-/under-stemming error taxonomy
+* ``data``       -- shipped rule files, lexicon and letter-unification table
 * ``cli``        -- command-line front end
 """
 

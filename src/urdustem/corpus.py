@@ -1,4 +1,4 @@
-"""Raw-text ingestion: Unicode normalization and tokenization.
+"""Raw-text ingestion: data-file lines, Unicode normalization, tokenization.
 
 Normalization brings text into the same space the rule files live in:
 NFC, optionally stripped of Arabic-script diacritics (the harakat
@@ -7,6 +7,7 @@ counterparts per the mapping table shipped in ``data/unify_map.tsv``.
 """
 
 import unicodedata
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -32,11 +33,27 @@ _DIACRITICS = frozenset(
 ) | {"ـ"}
 
 
+def data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(lineno, line)`` for each non-blank line of a data file.
+
+    The framing every data file shares (rule, gold, lexicon and the letter
+    unification table): a leading UTF-8 byte-order mark is dropped, the
+    text is NFC-normalized, lines are split on LF with trailing CRs
+    stripped, and whitespace-only lines are skipped.  Line numbers count
+    every line from 1.
+    """
+    text = unicodedata.normalize("NFC", text.removeprefix("\ufeff"))
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.rstrip("\r")
+        if line.strip():
+            yield lineno, line
+
+
 def _load_unify_map() -> dict[int, str]:
     table: dict[int, str] = {}
     text = resources.files("urdustem").joinpath("data/unify_map.tsv").read_text("utf-8")
-    for line in text.splitlines():
-        if not line.strip() or line.startswith("#"):
+    for _, line in data_lines(text):
+        if line.startswith("#"):
             continue
         src, dst = line.split("\t")[:2]
         table[ord(src)] = dst

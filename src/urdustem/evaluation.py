@@ -10,12 +10,12 @@ when neither holds (e.g. a recoding divergence).
 
 import dataclasses
 import json
-import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from urdustem import graphemes
+from urdustem.corpus import data_lines
 from urdustem.stemmer import StemResult
 
 
@@ -211,13 +211,11 @@ def parse_gold_file(text: str) -> list[GoldEntry]:
     """Parse a gold-corpus TSV: ``word  stem  [prefix]  [suffix]``.
 
     Empty affix fields mean "no affix expected".  ``#`` starts a comment.
-    A leading UTF-8 byte-order mark is ignored.
+    Lines are framed by :func:`urdustem.corpus.data_lines`.
     """
-    text = unicodedata.normalize("NFC", text.removeprefix("\ufeff"))
     entries: list[GoldEntry] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip() or line.startswith("#"):
+    for lineno, line in data_lines(text):
+        if line.startswith("#"):
             continue
         fields = line.split("\t")
         if len(fields) < 2 or len(fields) > 4:

@@ -7,11 +7,11 @@ gender/case agreement.  Lemmas outside these paradigms raise
 no rules for.
 """
 
-import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 
 from urdustem import graphemes
+from urdustem.corpus import data_lines
 from urdustem.evaluation import GoldEntry
 
 ALIF = "ا"
@@ -43,36 +43,23 @@ class Number(Enum):
     PLURAL = "plural"
 
 
-class TerminationClass(Enum):
-    ALIF_HE = "alif-he"  # final letter is replaced by the case ending
-    AIN = "ain"  # the case ending is appended after the final ain
-
-
 @dataclass(frozen=True)
 class ParadigmEntry:
-    """A group-1 masculine noun lemma (singular nominative)."""
+    """A group-1 masculine noun lemma (singular nominative) ending in alif, he or ain."""
 
     lemma: str
-    termination_class: TerminationClass
 
     def __post_init__(self) -> None:
-        last = graphemes.split(self.lemma)[-1] if self.lemma else ""
-        if self.termination_class is TerminationClass.ALIF_HE and last not in (ALIF, CHOTI_HE):
-            raise ValueError(f"alif-he lemma must end in {ALIF} or {CHOTI_HE}: {self.lemma!r}")
-        if self.termination_class is TerminationClass.AIN and last != AIN:
-            raise ValueError(f"ain lemma must end in {AIN}: {self.lemma!r}")
+        if not self.lemma or graphemes.split(self.lemma)[-1] not in (ALIF, CHOTI_HE, AIN):
+            raise ParadigmError(
+                f"no paradigm specified for lemma {self.lemma!r} "
+                f"(must end in {ALIF}, {CHOTI_HE} or {AIN})"
+            )
 
     @classmethod
     def from_lemma(cls, lemma: str) -> "ParadigmEntry":
-        """Infer the termination class from the lemma's final grapheme."""
-        last = graphemes.split(lemma)[-1] if lemma else ""
-        if last in (ALIF, CHOTI_HE):
-            return cls(lemma, TerminationClass.ALIF_HE)
-        if last == AIN:
-            return cls(lemma, TerminationClass.AIN)
-        raise ParadigmError(
-            f"no paradigm specified for lemma {lemma!r} (must end in {ALIF}, {CHOTI_HE} or {AIN})"
-        )
+        """The entry for *lemma*; the same as ``ParadigmEntry(lemma)``."""
+        return cls(lemma)
 
 
 @dataclass(frozen=True)
@@ -104,9 +91,10 @@ def inflect_noun(entry: ParadigmEntry, number: Number, case: Case) -> str:
     ending = _NOUN_ENDINGS[(number, case)]
     if ending is None:
         return entry.lemma
-    if entry.termination_class is TerminationClass.AIN:
+    lg = graphemes.split(entry.lemma)
+    if lg[-1] == AIN:
         return entry.lemma + ending
-    return "".join(graphemes.split(entry.lemma)[:-1]) + ending
+    return "".join(lg[:-1]) + ending
 
 
 def inflect_verb(root: str) -> tuple[str, str, str]:
@@ -162,14 +150,13 @@ def generate_gold(lexicon) -> list[GoldEntry]:
 def parse_lexicon_file(text: str):
     """Parse a lexicon TSV: lines of ``noun|verb|adj <TAB> lemma``.
 
-    Noun termination classes are inferred from the final grapheme.
-    ``#`` starts a comment.  A leading UTF-8 byte-order mark is ignored.
+    Lines are framed by :func:`urdustem.corpus.data_lines`, then trimmed;
+    ``#`` starts a comment.
     """
     items = []
-    text = unicodedata.normalize("NFC", text.removeprefix("\ufeff"))
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in data_lines(text):
+        line = line.strip()
+        if line.startswith("#"):
             continue
         fields = line.split("\t")
         if len(fields) != 2 or not fields[1]:
@@ -177,13 +164,13 @@ def parse_lexicon_file(text: str):
         category, lemma = fields
         try:
             if category == "noun":
-                items.append(ParadigmEntry.from_lemma(lemma))
+                items.append(ParadigmEntry(lemma))
             elif category == "verb":
                 items.append(VerbRoot(lemma))
             elif category == "adj":
                 items.append(Adjective(lemma))
             else:
                 raise ParadigmError(f"unknown category {category!r}")
-        except (ParadigmError, ValueError) as exc:
+        except ParadigmError as exc:
             raise ParadigmError(f"line {lineno}: {exc}") from None
     return items

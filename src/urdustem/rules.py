@@ -18,8 +18,9 @@ the directives::
     #!default-min-stem <TAB> n    min_stem used by rules that omit it
 
 Fields are not trimmed: a pattern may legitimately end in a space
-(e.g. a prefix that consumes the following separator).  File content is
-NFC-normalized on read; a leading UTF-8 byte-order mark is ignored.
+(e.g. a prefix that consumes the following separator).  Lines are framed
+(BOM, NFC, CRLF) by :func:`urdustem.corpus.data_lines`, as gold and lexicon
+lines are.
 
 Rules that could never fire are rejected: a suffix pattern starting
 with a combining mark or joiner (which belongs to the preceding
@@ -32,6 +33,7 @@ from enum import Enum
 from functools import cached_property
 
 from urdustem import graphemes
+from urdustem.corpus import data_lines
 
 DEFAULT_MIN_STEM = 2
 
@@ -141,30 +143,20 @@ def order_rules(rules) -> list[AffixRule]:
     return sorted(rules, key=lambda r: -r.pattern_length)
 
 
-def _split_line(line: str) -> list[str]:
-    # Only newline characters are stripped; field content is preserved,
-    # including trailing spaces inside a pattern.
-    return line.rstrip("\r\n").split("\t")
-
-
 def parse_rule_file(text: str) -> RuleSet:
     """Parse rule-file content into a :class:`RuleSet`.
 
     Raises :class:`RuleParseError` with the offending line number; a
     duplicate ``(kind, pattern)`` also carries the first occurrence's line.
     """
-    text = unicodedata.normalize("NFC", text.removeprefix("\ufeff"))
     rules: list[AffixRule] = []
     first_line: dict[tuple[AffixKind, str], int] = {}
     exceptions: set[str] = set()
     default_min_stem = DEFAULT_MIN_STEM
 
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip():
-            continue
+    for lineno, line in data_lines(text):
         if line.startswith("#!"):
-            fields = _split_line(line)
+            fields = line.split("\t")
             directive = fields[0]
             if directive == "#!exception":
                 if len(fields) != 2 or not fields[1]:
@@ -182,7 +174,7 @@ def parse_rule_file(text: str) -> RuleSet:
         if line.startswith("#"):
             continue
 
-        fields = _split_line(line)
+        fields = line.split("\t")
         if len(fields) < 2 or len(fields) > 4:
             raise RuleParseError(f"expected 2-4 tab-separated fields, got {len(fields)}", lineno)
         kind_field, pattern = fields[0], fields[1]

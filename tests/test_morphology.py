@@ -7,7 +7,6 @@ from urdustem.morphology import (
     ParadigmEntry,
     ParadigmError,
     Number,
-    TerminationClass,
     VerbRoot,
     generate_gold,
     inflect_adjective,
@@ -16,7 +15,7 @@ from urdustem.morphology import (
     parse_lexicon_file,
 )
 
-HAMMER = ParadigmEntry("ہتھوڑا", TerminationClass.ALIF_HE)
+HAMMER = ParadigmEntry("ہتھوڑا")
 
 TABLE1_GRID = [
     (Case.NOMINATIVE, "singular", "ہتھوڑا"),
@@ -33,22 +32,21 @@ class TestInflectNoun:
         assert inflect_noun(HAMMER, Number(number), case) == expected
 
     def test_ain_final_appends_instead_of_replacing(self):
-        entry = ParadigmEntry("موقع", TerminationClass.AIN)
+        entry = ParadigmEntry("موقع")
         # Hand application of the ain sub-rule: the ending is added after
         # the final letter, nothing is removed.
         assert inflect_noun(entry, Number.PLURAL, Case.OBLIQUE) == "موقعوں"
         assert inflect_noun(entry, Number.PLURAL, Case.NOMINATIVE) == "موقعے"
         assert inflect_noun(entry, Number.SINGULAR, Case.NOMINATIVE) == "موقع"
 
-    def test_termination_class_validation(self):
-        with pytest.raises(ValueError):
-            ParadigmEntry("سوال", TerminationClass.ALIF_HE)
-        with pytest.raises(ValueError):
-            ParadigmEntry("ہتھوڑا", TerminationClass.AIN)
+    def test_lemma_without_paradigm_rejected(self):
+        for lemma in ("سوال", ""):
+            with pytest.raises(ParadigmError, match="no paradigm specified"):
+                ParadigmEntry(lemma)
 
     def test_from_lemma_inference(self):
-        assert ParadigmEntry.from_lemma("ہتھوڑا").termination_class is TerminationClass.ALIF_HE
-        assert ParadigmEntry.from_lemma("موقع").termination_class is TerminationClass.AIN
+        for lemma in ("ہتھوڑا", "علاقہ", "موقع"):
+            assert ParadigmEntry.from_lemma(lemma) == ParadigmEntry(lemma)
         with pytest.raises(ParadigmError):
             ParadigmEntry.from_lemma("سوال")
 
@@ -129,7 +127,7 @@ class TestGenerateGold:
             stem_g = graphemes.split(entry.lemma)
             for g in generate_gold([entry]):
                 surface_g = graphemes.split(g.word)
-                if entry.termination_class is TerminationClass.AIN:
+                if stem_g[-1] == "ع":
                     assert surface_g[: len(stem_g)] == stem_g
                 else:
                     assert surface_g[: len(stem_g) - 1] == stem_g[:-1]
@@ -146,6 +144,10 @@ class TestLexiconFile:
 
     def test_leading_bom_ignored(self):
         assert parse_lexicon_file("\ufeffnoun\tہتھوڑا\n") == parse_lexicon_file("noun\tہتھوڑا\n")
+
+    def test_lemma_without_paradigm_carries_line(self):
+        with pytest.raises(ParadigmError, match="line 2: no paradigm specified"):
+            parse_lexicon_file("noun\tہتھوڑا\nnoun\tسوال\n")
 
     def test_bad_category_carries_line(self):
         with pytest.raises(ParadigmError, match="line 2"):

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from urdustem import graphemes
-from urdustem.evaluation import parse_gold_file
+from urdustem.evaluation import GoldEntry, GoldFileError, parse_gold_file
 from urdustem.graphemes import ZWJ, ZWNJ
-from urdustem.morphology import parse_lexicon_file
+from urdustem.morphology import ParadigmEntry, parse_lexicon_file
 from urdustem.rules import (
     AffixKind,
     AffixRule,
@@ -245,6 +245,32 @@ def test_bom_and_crlf_parse_alike(parse, files, data, last_eol, bom, eol):
     text = "\n".join(data.draw(files)) + ("\n" if last_eol else "")
     variant = ("\ufeff" if bom else "") + text.replace("\n", eol)
     assert _outcome(parse, variant) == _outcome(parse, text)
+
+
+_HAMMER = [ParadigmEntry.from_lemma("ہتھوڑا")]
+_FIELD_COUNT = "line 1: expected 2-4 tab-separated fields, got 1"
+
+
+@pytest.mark.parametrize("parse,text,expected", [
+    (parse_rule_file, "S\tوں\n \t \n \r\n", RuleSet((AffixRule(S, "وں"),))),
+    (parse_gold_file, "کتاب\tکتاب\n \t \n \r\n", [GoldEntry("کتاب", "کتاب")]),
+    (parse_lexicon_file, "noun\tہتھوڑا\n \t \n \r\n", _HAMMER),
+    (parse_rule_file, "  # note\n", (RuleParseError, _FIELD_COUNT)),
+    (parse_gold_file, "  # note\n", (GoldFileError, _FIELD_COUNT)),
+    (parse_lexicon_file, "  # note\nnoun\tہتھوڑا\n", _HAMMER),
+    (parse_lexicon_file, "  noun\tہتھوڑا  \n", _HAMMER),
+    (parse_gold_file, " کتاب\tکتاب \n", [GoldEntry(" کتاب", "کتاب ")]),
+    (parse_rule_file, " S\tوں\n", (RuleParseError, "line 1: kind must be P or S, got ' S'")),
+], ids=[
+    "rules-blank", "gold-blank", "lexicon-blank",
+    "rules-indented-hash", "gold-indented-hash", "lexicon-indented-comment",
+    "lexicon-padded", "gold-keeps-spaces", "rules-keeps-spaces",
+])
+def test_framing_then_per_format_line_rules(parse, text, expected):
+    # Shared framing: blank and whitespace-only lines are skipped.  What
+    # follows is each format's own: only the lexicon trims its lines, so
+    # only there is an indented "#" a comment.
+    assert _outcome(parse, text) == expected
 
 
 class TestSerialize:
