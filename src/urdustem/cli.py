@@ -95,7 +95,7 @@ def cmd_stem(args) -> int:
     cfg = _stem_config(args)
     text = corpus.normalize(_read_input(args.input), strip_diacritics=args.strip_diacritics)
     if args.pretokenized:
-        words = [line.strip() for line in text.split("\n") if line.strip()]
+        words = [w for w in map(str.strip, text.split("\n")) if w]
     else:
         words = [t.surface for t in corpus.tokenize(text) if t.kind is corpus.TokenKind.WORD]
     try:
@@ -103,16 +103,21 @@ def cmd_stem(args) -> int:
     except StemError as exc:
         raise CliError(str(exc), EXIT_INPUT) from exc
 
-    out = []
+    # Repeats of a word share one result, so each distinct word's line is
+    # rendered once.
+    lines: dict[str, str] = {}
     for r in results:
+        if r.word in lines:
+            continue
         if args.json:
-            out.append(_json_line(
+            line = _json_line(
                 {"word": r.word, "prefix": r.prefix, "stem": r.stem, "suffix": r.suffix,
                  "applied": list(r.applied), "exception": r.exception_hit}
-            ))
+            )
         else:
-            out.append("\t".join((r.word, _clean_field(r.prefix), r.stem, _clean_field(r.suffix))))
-    sys.stdout.write("".join(line + "\n" for line in out))
+            line = "\t".join((r.word, _clean_field(r.prefix), r.stem, _clean_field(r.suffix)))
+        lines[r.word] = line + "\n"
+    sys.stdout.write("".join([lines[r.word] for r in results]))
     return EXIT_OK
 
 

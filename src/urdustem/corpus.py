@@ -6,12 +6,13 @@ classes), with Arabic presentation letters unified to their Urdu
 counterparts per the mapping table shipped in ``data/unify_map.tsv``.
 """
 
+import re
 import unicodedata
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from itertools import groupby
+from typing import NamedTuple
 
 from urdustem.graphemes import extends_cluster
 
@@ -83,8 +84,7 @@ class TokenKind(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One segment of the normalized source, with its UTF-8 byte span."""
 
     surface: str
@@ -117,24 +117,40 @@ class _ClassCache(dict):
         return kind
 
 
+# One whitespace-free chunk with the whitespace before it.  ``re``'s \s
+# matches exactly the ``str.isspace`` characters, the ones ``_char_class``
+# maps to None, so a chunk holds no separator.
+_CHUNK = re.compile(r"(\s*)(\S+)")
+
+
 def tokenize(text: str) -> list[Token]:
     """Segment normalized text into tokens of maximal same-class runs.
 
     Whitespace separates tokens and is emitted as no token; concatenating
     token surfaces with the skipped separators reconstructs the input.
-    Each distinct character is classified once per call.  Raises
+    The text is cut into whitespace-free chunks first.  A chunk of letters
+    only (``str.isalpha``) is one WORD token as it stands, since every
+    letter classifies as WORD; any other chunk is split into its runs,
+    each distinct character classified once per call.  Raises
     :class:`ValueError` naming the code-point offset of the first lone
     surrogate, which has no UTF-8 byte span.
     """
     tokens: list[Token] = []
+    classify = _ClassCache().__getitem__
     offset = 0
     try:
-        for kind, run in groupby(text, _ClassCache().__getitem__):
-            surface = "".join(run)
-            end = offset + len(surface.encode())
-            if kind is not None:
-                tokens.append(Token(surface, kind, offset, end))
-            offset = end
+        for gap, chunk in map(re.Match.groups, _CHUNK.finditer(text)):
+            offset += len(gap.encode())
+            if chunk.isalpha():
+                end = offset + len(chunk.encode())
+                tokens.append(Token(chunk, TokenKind.WORD, offset, end))
+                offset = end
+            else:
+                for kind, run in groupby(chunk, classify):
+                    surface = "".join(run)
+                    end = offset + len(surface.encode())
+                    tokens.append(Token(surface, kind, offset, end))
+                    offset = end
     except UnicodeEncodeError:
         at = next(i for i, ch in enumerate(text) if "\ud800" <= ch <= "\udfff")
         raise ValueError(f"lone surrogate at code-point offset {at}") from None

@@ -4,6 +4,7 @@ import pytest
 
 from urdustem import data
 from urdustem.cli import main
+from urdustem.stemmer import stem_batch
 
 TABLE2_WORDS = "علاقوں فاصلے سوالات لڑکیاں راجویر نوجوان لاجواب".split() + ["بد نصیب"]
 
@@ -75,6 +76,32 @@ class TestStem:
         records = [json.loads(line) for line in out.splitlines()]
         assert records[0]["stem"] == "علاقہ"
         assert records[0]["applied"] == ["S:وں"]
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_repeated_word_lines_match_single_results(
+        self, capsys, tmp_path, default_rules, as_json
+    ):
+        # One word recurs bare, fused to a comma and fused to a full stop.
+        p = tmp_path / "text.txt"
+        p.write_text("لڑکوں کتابیں لڑکوں، بدنصیب لڑکوں۔ کتابیں\n", encoding="utf-8")
+        words = ["لڑکوں", "کتابیں", "لڑکوں", "بدنصیب", "لڑکوں", "کتابیں"]
+        expected = []
+        for word in words:
+            (r,) = stem_batch([word], default_rules)
+            if as_json:
+                expected.append(json.dumps(
+                    {"word": r.word, "prefix": r.prefix, "stem": r.stem, "suffix": r.suffix,
+                     "applied": list(r.applied), "exception": r.exception_hit},
+                    ensure_ascii=False,
+                ))
+            else:
+                expected.append("\t".join(
+                    (r.word, (r.prefix or "").strip(), r.stem, (r.suffix or "").strip())
+                ))
+        argv = ["stem", str(p), "--rules", data.path(data.DEFAULT_RULES)]
+        code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+        assert code == 0 and err == ""
+        assert out == "".join(line + "\n" for line in expected)
 
     def test_bad_rule_file_exits_1(self, capsys, tmp_path, table2_input):
         bad = tmp_path / "bad.rules"

@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 import unicodedata
 from itertools import groupby
 
@@ -155,3 +157,43 @@ class TestTokenize:
     @given(st.text(alphabet=URDU_LETTERS + DIACRITICS + ZWNJ + "0123۴۵" + "۔، \n"))
     def test_matches_per_character_reference(self, text):
         assert tokenize(text) == reference_tokenize(text)
+
+    # Whitespace beyond ASCII, ZWSP (Cf, not whitespace), Latin letters and
+    # symbols, marks and ZWNJ that can open a chunk, and letters fused to
+    # punctuation and digits.
+    @given(st.text(alphabet=(
+        "\u00a0\u0085\u1680\u2009\u3000\x1c \n\t" + "\u200b"
+        + "abcXYZ_$+" + URDU_LETTERS + DIACRITICS + ZWNJ + "۔،" + "09۴"
+    )))
+    def test_matches_reference_on_mixed_scripts_and_separators(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    def test_lone_surrogate_in_mixed_chunk(self):
+        with pytest.raises(ValueError, match="offset 3$"):
+            tokenize("ab \ud800c")
+
+    def test_token_contract(self):
+        assert Token._fields == ("surface", "kind", "start", "end")
+        token = Token("کتاب", TokenKind.WORD, 0, 8)
+        with pytest.raises(AttributeError):
+            token.surface = "کتب"
+        twin = Token("کتاب", TokenKind.WORD, 0, 8)
+        assert token == twin and hash(token) == hash(twin)
+        text = "کتاب، 42 $x"
+        assert tokenize(text) == reference_tokenize(text)
+
+
+class TestTokenizeChunkFacts:
+    """The two Unicode facts ``tokenize``'s whitespace chunking rests on,
+    checked over every code point of the running interpreter's database."""
+
+    ALL = "".join(map(chr, range(sys.maxunicode + 1)))
+
+    def test_regex_whitespace_is_str_isspace(self):
+        assert [m.start() for m in re.finditer(r"\s", self.ALL)] == [
+            cp for cp, ch in enumerate(self.ALL) if ch.isspace()
+        ]
+
+    def test_every_alphabetic_character_is_word_class(self):
+        letters = [ch for ch in self.ALL if ch.isalpha()]
+        assert [ch for ch in letters if _char_class(ch) is not TokenKind.WORD] == []
