@@ -160,7 +160,7 @@ def cmd_gen(args) -> int:
         lexicon = morphology.parse_lexicon_file(_read_input(args.lexicon))
         gold = morphology.generate_gold(lexicon)
     except ParadigmError as exc:
-        raise CliError(str(exc), EXIT_INPUT) from exc
+        raise CliError(f"{args.lexicon}: {exc}", EXIT_INPUT) from exc
     out = []
     if any(isinstance(item, morphology.VerbRoot) for item in lexicon):
         out.append("# provenance: verb forms are pattern-generalized from a single exemplar\n")

@@ -20,18 +20,9 @@ from urdustem.graphemes import extends_cluster
 # (fathatan..sukun and the small high marks), the superscript alef (Urdu
 # khari zabar), Quranic annotation signs, plus the tatweel elongation
 # character.
-_DIACRITIC_RANGES = (
-    (0x064B, 0x065F),
-    (0x0610, 0x061A),
-    (0x0670, 0x0670),
-    (0x06D6, 0x06DC),
-    (0x06DF, 0x06E4),
-    (0x06E7, 0x06E8),
-    (0x06EA, 0x06ED),
+_DIACRITICS = re.compile(
+    r"[\u064b-\u065f\u0610-\u061a\u0670\u06d6-\u06dc\u06df-\u06e4\u06e7\u06e8\u06ea-\u06ed\u0640]"
 )
-_DIACRITICS = frozenset(
-    chr(cp) for lo, hi in _DIACRITIC_RANGES for cp in range(lo, hi + 1)
-) | {"ـ"}
 
 
 def data_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -50,30 +41,33 @@ def data_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def _load_unify_map() -> dict[int, str]:
-    table: dict[int, str] = {}
+def _load_unify_map() -> dict[str, str]:
+    table: dict[str, str] = {}
     text = resources.files("urdustem").joinpath("data/unify_map.tsv").read_text("utf-8")
     for _, line in data_lines(text):
         if line.startswith("#"):
             continue
         src, dst = line.split("\t")[:2]
-        table[ord(src)] = dst
+        table[src] = dst
     return table
 
 
 _UNIFY = _load_unify_map()
-# Diacritic keys come last so that they win: stripping precedes unification.
-_STRIP_AND_UNIFY = {**_UNIFY, **dict.fromkeys(map(ord, _DIACRITICS))}
+_UNIFIABLE = re.compile("[" + re.escape("".join(_UNIFY)) + "]")
 
 
 def normalize(text: str, strip_diacritics: bool = True) -> str:
     """Normalize raw text for stemming; idempotent.
 
     Output is NFC with the letter-unification table applied; when
-    *strip_diacritics* is set, combining marks and tatweel are removed.
+    *strip_diacritics* is set, the Arabic-block marks in ``_DIACRITICS``
+    and tatweel are removed first.  Other marks (Latin U+0301, Arabic
+    Extended-A) are kept.
     """
     text = unicodedata.normalize("NFC", text)
-    text = text.translate(_STRIP_AND_UNIFY if strip_diacritics else _UNIFY)
+    if strip_diacritics:
+        text = _DIACRITICS.sub("", text)
+    text = _UNIFIABLE.sub(lambda m: _UNIFY[m[0]], text)
     return unicodedata.normalize("NFC", text)
 
 

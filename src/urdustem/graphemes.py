@@ -26,8 +26,7 @@ def split(text: str) -> list[str]:
         return list(text)
     clusters: list[str] = []
     for ch in text:
-        # extends_cluster(ch), inlined: this loop runs for every word.
-        if clusters and (ch in _EXTENDERS or unicodedata.category(ch).startswith("M")):
+        if clusters and extends_cluster(ch):
             clusters[-1] += ch
         else:
             clusters.append(ch)

@@ -69,7 +69,12 @@ class VerbRoot:
 
 @dataclass(frozen=True)
 class Adjective:
+    """An adjective lemma ending in alif (masculine direct form)."""
+
     lemma: str
+
+    def __post_init__(self) -> None:
+        inflect_adjective(self.lemma)  # raises ParadigmError unless alif-final
 
 
 # Case ending per (number, case); None = lemma unchanged.

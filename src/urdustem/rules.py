@@ -163,11 +163,10 @@ def parse_rule_file(text: str) -> RuleSet:
                     raise RuleParseError("#!exception needs one non-empty word", lineno)
                 exceptions.add(fields[1])
             elif directive == "#!default-min-stem":
-                if len(fields) != 2 or not fields[1].isascii() or not fields[1].isdigit():
+                value = fields[1] if len(fields) == 2 else ""
+                if not (value.isascii() and value.isdigit() and int(value) >= 1):
                     raise RuleParseError("#!default-min-stem needs a positive integer", lineno)
-                default_min_stem = int(fields[1])
-                if default_min_stem < 1:
-                    raise RuleParseError("#!default-min-stem needs a positive integer", lineno)
+                default_min_stem = int(value)
             else:
                 raise RuleParseError(f"unknown directive {directive!r}", lineno)
             continue

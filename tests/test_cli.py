@@ -231,6 +231,22 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--lexicon", str(lex))
         assert code == 2 and "سوال" in err
 
+    def test_noun_without_paradigm_names_file_and_line(self, capsys, tmp_path):
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("noun\tسوال\n", encoding="utf-8")
+        code, out, err = run(capsys, "gen", "--lexicon", str(lex))
+        assert code == 2 and out == ""
+        assert err.startswith(f"urdustem: {lex}: line 1: no paradigm specified for lemma 'سوال'")
+
+    def test_adjective_without_alif_names_file_and_line(self, capsys, tmp_path):
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("noun\tہتھوڑا\nadj\tسرخ\n", encoding="utf-8")
+        code, out, err = run(capsys, "gen", "--lexicon", str(lex))
+        assert code == 2 and out == ""
+        assert err.startswith(
+            f"urdustem: {lex}: line 2: paradigm not specified for adjective 'سرخ' (must end in ا)"
+        )
+
     def test_gen_output_feeds_eval(self, capsys, tmp_path):
         gold = tmp_path / "gold.tsv"
         code, out, _ = run(capsys, "gen", "--lexicon", data.path(data.GROUP1_LEXICON))

@@ -7,7 +7,8 @@ from itertools import groupby
 import pytest
 from hypothesis import given, strategies as st
 
-from urdustem.corpus import Token, TokenKind, _char_class, normalize, tokenize
+from urdustem import data
+from urdustem.corpus import Token, TokenKind, _char_class, data_lines, normalize, tokenize
 from urdustem.graphemes import ZWNJ
 
 from conftest import URDU_LETTERS, random_word
@@ -25,6 +26,38 @@ def reference_tokenize(text: str) -> list[Token]:
             tokens.append(Token(surface, kind, offset, end))
         offset = end
     return tokens
+
+
+# The merged table ``normalize`` used to run through ``str.translate``:
+# letter unification, with the diacritic ranges and tatweel overriding it.
+_OLD_DIACRITIC_RANGES = (
+    (0x064B, 0x065F),
+    (0x0610, 0x061A),
+    (0x0670, 0x0670),
+    (0x06D6, 0x06DC),
+    (0x06DF, 0x06E4),
+    (0x06E7, 0x06E8),
+    (0x06EA, 0x06ED),
+)
+_OLD_UNIFY = {
+    ord(src): dst
+    for src, dst, *_ in (
+        line.split("\t") for _, line in data_lines(data.read_text("unify_map.tsv"))
+        if not line.startswith("#")
+    )
+}
+_OLD_STRIP_AND_UNIFY = {
+    **_OLD_UNIFY,
+    **dict.fromkeys(cp for lo, hi in _OLD_DIACRITIC_RANGES for cp in range(lo, hi + 1)),
+    0x0640: None,
+}
+
+
+def reference_normalize(text: str, strip_diacritics: bool = True) -> str:
+    """Reference: NFC, one ``translate`` through the merged table, NFC."""
+    text = unicodedata.normalize("NFC", text)
+    text = text.translate(_OLD_STRIP_AND_UNIFY if strip_diacritics else _OLD_UNIFY)
+    return unicodedata.normalize("NFC", text)
 
 
 def noisy_text(rng: random.Random, n_chars: int) -> str:
@@ -74,6 +107,30 @@ class TestNormalize:
     def test_idempotent_on_arbitrary_unicode(self, text):
         once = normalize(text)
         assert normalize(once) == once
+
+    @pytest.mark.parametrize("strip", [True, False])
+    def test_matches_reference_on_every_code_point(self, strip):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert normalize(every, strip) == reference_normalize(every, strip)
+
+    # The Arabic block (tatweel included), ZWNJ, Latin e and U+0301, with
+    # half the draws from the pieces that need the final NFC pass: heh +
+    # hamza above unifies to heh goal + hamza, which composes to U+06C2
+    # when marks are kept, and e + tatweel + U+0301 composes to e-acute
+    # once the tatweel is stripped.
+    @given(
+        st.lists(st.one_of(
+            st.sampled_from([chr(cp) for cp in range(0x0600, 0x0700)]),
+            st.sampled_from([ZWNJ, "e", "\u0301", "\u0640", "\u0647\u0654", "e\u0640\u0301"]),
+        )).map("".join),
+        st.booleans(),
+    )
+    def test_matches_reference_on_arabic_block(self, text, strip):
+        assert normalize(text, strip) == reference_normalize(text, strip)
+
+    def test_final_nfc_pass_cases(self):
+        assert normalize("\u0647\u0654", strip_diacritics=False) == "\u06c2"
+        assert normalize("e\u0640\u0301") == "\u00e9"
 
 
 class TestTokenize:

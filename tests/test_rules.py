@@ -158,6 +158,22 @@ class TestParse:
         assert rs.default_min_stem == 3
         assert rs.exceptions == frozenset({"بدمعاش"})
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "#!default-min-stem\t0",
+            "#!default-min-stem\tx",
+            "#!default-min-stem\t٣",  # Arabic-Indic three: a digit, not ASCII
+            "#!default-min-stem\t",
+            "#!default-min-stem",
+            "#!default-min-stem\t2\t3",
+        ],
+    )
+    def test_default_min_stem_needs_a_positive_integer(self, line):
+        message = "^line 1: #!default-min-stem needs a positive integer"
+        with pytest.raises(RuleParseError, match=message):
+            parse_rule_file(line + "\nS\tی\n")
+
     def test_comments_and_blank_lines_ignored(self):
         rs = parse_rule_file("# header\n\n   \nS\tی\n")
         assert len(rs.rules) == 1
