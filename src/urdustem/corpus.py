@@ -79,12 +79,10 @@ class TokenKind(Enum):
 
 
 class Token(NamedTuple):
-    """One segment of the normalized source, with its UTF-8 byte span."""
+    """One maximal same-class run of the normalized source."""
 
     surface: str
     kind: TokenKind
-    start: int
-    end: int
 
 
 def _char_class(ch: str) -> TokenKind | None:
@@ -111,41 +109,23 @@ class _ClassCache(dict):
         return kind
 
 
-# One whitespace-free chunk with the whitespace before it.  ``re``'s \s
-# matches exactly the ``str.isspace`` characters, the ones ``_char_class``
-# maps to None, so a chunk holds no separator.
-_CHUNK = re.compile(r"(\s*)(\S+)")
-
-
 def tokenize(text: str) -> list[Token]:
     """Segment normalized text into tokens of maximal same-class runs.
 
-    Whitespace separates tokens and is emitted as no token; concatenating
-    token surfaces with the skipped separators reconstructs the input.
-    The text is cut into whitespace-free chunks first.  A chunk of letters
-    only (``str.isalpha``) is one WORD token as it stands, since every
-    letter classifies as WORD; any other chunk is split into its runs,
-    each distinct character classified once per call.  Raises
-    :class:`ValueError` naming the code-point offset of the first lone
-    surrogate, which has no UTF-8 byte span.
+    Whitespace (``str.isspace``) separates tokens and is emitted as no
+    token; concatenating the token surfaces gives the input with its
+    whitespace removed.  The text is cut into whitespace-free chunks by
+    ``str.split``.  A chunk of letters only (``str.isalpha``) is one WORD
+    token as it stands, since every letter classifies as WORD; any other
+    chunk is split into its runs, each distinct character classified once
+    per call.  A lone surrogate is an OTHER character like any symbol.
     """
     tokens: list[Token] = []
     classify = _ClassCache().__getitem__
-    offset = 0
-    try:
-        for gap, chunk in map(re.Match.groups, _CHUNK.finditer(text)):
-            offset += len(gap.encode())
-            if chunk.isalpha():
-                end = offset + len(chunk.encode())
-                tokens.append(Token(chunk, TokenKind.WORD, offset, end))
-                offset = end
-            else:
-                for kind, run in groupby(chunk, classify):
-                    surface = "".join(run)
-                    end = offset + len(surface.encode())
-                    tokens.append(Token(surface, kind, offset, end))
-                    offset = end
-    except UnicodeEncodeError:
-        at = next(i for i, ch in enumerate(text) if "\ud800" <= ch <= "\udfff")
-        raise ValueError(f"lone surrogate at code-point offset {at}") from None
+    for chunk in text.split():
+        if chunk.isalpha():
+            tokens.append(Token(chunk, TokenKind.WORD))
+        else:
+            for kind, run in groupby(chunk, classify):
+                tokens.append(Token("".join(run), kind))
     return tokens

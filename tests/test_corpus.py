@@ -1,5 +1,4 @@
 import random
-import re
 import sys
 import unicodedata
 from itertools import groupby
@@ -10,6 +9,7 @@ from hypothesis import given, strategies as st
 from urdustem import data
 from urdustem.corpus import Token, TokenKind, _char_class, data_lines, normalize, tokenize
 from urdustem.graphemes import ZWNJ
+from urdustem.stemmer import stem_batch
 
 from conftest import URDU_LETTERS, random_word
 
@@ -17,15 +17,12 @@ DIACRITICS = "ًٌٍَُِّْ"
 
 
 def reference_tokenize(text: str) -> list[Token]:
-    """Classify every character afresh, with no per-call class cache."""
-    tokens, offset = [], 0
-    for kind, run in groupby(text, _char_class):
-        surface = "".join(run)
-        end = offset + len(surface.encode())
-        if kind is not None:
-            tokens.append(Token(surface, kind, offset, end))
-        offset = end
-    return tokens
+    """Classify every character afresh, with no chunking and no class cache."""
+    return [
+        Token("".join(run), kind)
+        for kind, run in groupby(text, _char_class)
+        if kind is not None
+    ]
 
 
 # The merged table ``normalize`` used to run through ``str.translate``:
@@ -159,37 +156,11 @@ class TestTokenize:
         assert len(tokens) == 1
         assert tokens[0].kind is TokenKind.WORD
 
-    def test_byte_spans_slice_source(self):
-        text = "علاقوں میں، 42 لوگ۔"
-        raw = text.encode()
-        for t in tokenize(text):
-            assert raw[t.start : t.end].decode() == t.surface
-
-    def test_spans_disjoint_ordered_in_bounds(self):
-        rng = random.Random(11)
-        for _ in range(100):
-            text = normalize(noisy_text(rng, rng.randint(0, 60)))
-            tokens = tokenize(text)
-            raw = text.encode()
-            last_end = 0
-            for t in tokens:
-                assert last_end <= t.start < t.end <= len(raw)
-                last_end = t.end
-
-    def test_reconstruction_with_separators(self):
-        rng = random.Random(12)
-        for _ in range(100):
-            text = normalize(noisy_text(rng, rng.randint(0, 60)))
-            tokens = tokenize(text)
-            raw = text.encode()
-            rebuilt = bytearray()
-            pos = 0
-            for t in tokens:
-                rebuilt += raw[pos : t.start]  # skipped separators
-                rebuilt += t.surface.encode()
-                pos = t.end
-            rebuilt += raw[pos:]
-            assert bytes(rebuilt) == raw
+    @given(st.text())
+    def test_surfaces_rebuild_text_without_whitespace(self, text):
+        tokens = tokenize(text)
+        assert "".join(t.surface for t in tokens) == "".join(text.split())
+        assert all(t.surface and not any(ch.isspace() for ch in t.surface) for t in tokens)
 
     def test_fixed_paragraph_token_count(self):
         # 40 sentences of 5 words and a final punctuation mark each:
@@ -206,10 +177,11 @@ class TestTokenize:
         text = "علاقوں میں، 42 لوگ۔"
         assert tokenize(text) == tokenize(text)
 
-    def test_lone_surrogate_raises_value_error_with_offset(self):
-        with pytest.raises(ValueError, match="offset 1$") as exc_info:
-            tokenize("a\ud800b")
-        assert not isinstance(exc_info.value, UnicodeError)
+    def test_lone_surrogate_passes_through_the_pipeline(self):
+        # Library entry points raise documented errors, never UnicodeError.
+        text = normalize("کتابیں\ud800 لڑکوں \udfffَ")
+        words = [t.surface for t in tokenize(text)]
+        assert [r.word for r in stem_batch(words, data.load_rules())] == words
 
     @given(st.text(alphabet=URDU_LETTERS + DIACRITICS + ZWNJ + "0123۴۵" + "۔، \n"))
     def test_matches_per_character_reference(self, text):
@@ -226,15 +198,23 @@ class TestTokenize:
         assert tokenize(text) == reference_tokenize(text)
 
     def test_lone_surrogate_in_mixed_chunk(self):
-        with pytest.raises(ValueError, match="offset 3$"):
-            tokenize("ab \ud800c")
+        assert tokenize("a\ud800b") == [
+            Token("a", TokenKind.WORD),
+            Token("\ud800", TokenKind.OTHER),
+            Token("b", TokenKind.WORD),
+        ]
+        assert tokenize("ab \ud800c") == [
+            Token("ab", TokenKind.WORD),
+            Token("\ud800", TokenKind.OTHER),
+            Token("c", TokenKind.WORD),
+        ]
 
     def test_token_contract(self):
-        assert Token._fields == ("surface", "kind", "start", "end")
-        token = Token("کتاب", TokenKind.WORD, 0, 8)
+        assert Token._fields == ("surface", "kind")
+        token = Token("کتاب", TokenKind.WORD)
         with pytest.raises(AttributeError):
             token.surface = "کتب"
-        twin = Token("کتاب", TokenKind.WORD, 0, 8)
+        twin = Token("کتاب", TokenKind.WORD)
         assert token == twin and hash(token) == hash(twin)
         text = "کتاب، 42 $x"
         assert tokenize(text) == reference_tokenize(text)
@@ -246,10 +226,8 @@ class TestTokenizeChunkFacts:
 
     ALL = "".join(map(chr, range(sys.maxunicode + 1)))
 
-    def test_regex_whitespace_is_str_isspace(self):
-        assert [m.start() for m in re.finditer(r"\s", self.ALL)] == [
-            cp for cp, ch in enumerate(self.ALL) if ch.isspace()
-        ]
+    def test_str_split_drops_exactly_the_isspace_characters(self):
+        assert "".join(self.ALL.split()) == "".join(ch for ch in self.ALL if not ch.isspace())
 
     def test_every_alphabetic_character_is_word_class(self):
         letters = [ch for ch in self.ALL if ch.isalpha()]

@@ -263,7 +263,7 @@ def test_bom_and_crlf_parse_alike(parse, files, data, last_eol, bom, eol):
     assert _outcome(parse, variant) == _outcome(parse, text)
 
 
-_HAMMER = [ParadigmEntry.from_lemma("ہتھوڑا")]
+_HAMMER = [ParadigmEntry("ہتھوڑا")]
 _FIELD_COUNT = "line 1: expected 2-4 tab-separated fields, got 1"
 
 
