@@ -97,7 +97,7 @@ def cmd_stem(args) -> int:
     if args.pretokenized:
         words = [w for w in map(str.strip, text.split("\n")) if w]
     else:
-        words = [t.surface for t in corpus.tokenize(text) if t.kind is corpus.TokenKind.WORD]
+        words = corpus.tokenize(text)
     try:
         results = stem_batch(words, rs, cfg)
     except StemError as exc:

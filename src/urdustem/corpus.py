@@ -9,10 +9,8 @@ counterparts per the mapping table shipped in ``data/unify_map.tsv``.
 import re
 import unicodedata
 from collections.abc import Iterator
-from enum import Enum
 from importlib import resources
 from itertools import groupby
-from typing import NamedTuple
 
 from urdustem.graphemes import extends_cluster
 
@@ -71,61 +69,30 @@ def normalize(text: str, strip_diacritics: bool = True) -> str:
     return unicodedata.normalize("NFC", text)
 
 
-class TokenKind(Enum):
-    WORD = "word"
-    PUNCT = "punct"
-    NUMBER = "number"
-    OTHER = "other"
+class _InWord(dict):
+    """``tokenize``'s per-call memo: whether a character belongs to a word."""
+
+    def __missing__(self, ch: str) -> bool:
+        in_word = self[ch] = ch.isalpha() or extends_cluster(ch)
+        return in_word
 
 
-class Token(NamedTuple):
-    """One maximal same-class run of the normalized source."""
+def tokenize(text: str) -> list[str]:
+    """Return the words of normalized text, in order.
 
-    surface: str
-    kind: TokenKind
-
-
-def _char_class(ch: str) -> TokenKind | None:
-    # None = separator (whitespace), never part of a token.
-    if ch.isspace():
-        return None
-    if extends_cluster(ch):
-        return TokenKind.WORD  # combining marks and word-internal joiners
-    cat = unicodedata.category(ch)
-    if cat.startswith("L"):
-        return TokenKind.WORD
-    if cat == "Nd":
-        return TokenKind.NUMBER
-    if cat.startswith("P"):
-        return TokenKind.PUNCT
-    return TokenKind.OTHER
-
-
-class _ClassCache(dict):
-    """``_char_class`` memo for one ``tokenize`` call."""
-
-    def __missing__(self, ch: str) -> TokenKind | None:
-        kind = self[ch] = _char_class(ch)
-        return kind
-
-
-def tokenize(text: str) -> list[Token]:
-    """Segment normalized text into tokens of maximal same-class runs.
-
-    Whitespace (``str.isspace``) separates tokens and is emitted as no
-    token; concatenating the token surfaces gives the input with its
-    whitespace removed.  The text is cut into whitespace-free chunks by
-    ``str.split``.  A chunk of letters only (``str.isalpha``) is one WORD
-    token as it stands, since every letter classifies as WORD; any other
-    chunk is split into its runs, each distinct character classified once
-    per call.  A lone surrogate is an OTHER character like any symbol.
+    A word is a maximal run of letters (``str.isalpha``, category L*),
+    combining marks and ZWNJ/ZWJ (``graphemes.extends_cluster``); every
+    other character, whitespace, digits, punctuation, symbols and lone
+    surrogates alike, ends a word and is dropped.  The text is cut into
+    whitespace-free chunks by ``str.split``.  A chunk of letters only is one
+    word as it stands; any other chunk is split into its word runs, each
+    distinct character tested once per call.
     """
-    tokens: list[Token] = []
-    classify = _ClassCache().__getitem__
+    words: list[str] = []
+    in_word = _InWord().__getitem__
     for chunk in text.split():
         if chunk.isalpha():
-            tokens.append(Token(chunk, TokenKind.WORD))
+            words.append(chunk)
         else:
-            for kind, run in groupby(chunk, classify):
-                tokens.append(Token("".join(run), kind))
-    return tokens
+            words += ["".join(run) for is_word, run in groupby(chunk, in_word) if is_word]
+    return words

@@ -14,6 +14,7 @@ from naive_oracle import NaiveRule
 # Letters only (no combining marks), so code points == graphemes in
 # randomized fixtures.
 URDU_LETTERS = "اببتجخدرسشعقکگلمنوہیڑںے"
+DIACRITICS = "ًٌٍَُِّْ"
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,16 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from urdustem import data
 from urdustem.cli import main
+from urdustem.graphemes import ZWNJ
 from urdustem.stemmer import stem_batch
+
+from conftest import DIACRITICS, URDU_LETTERS
 
 TABLE2_WORDS = "علاقوں فاصلے سوالات لڑکیاں راجویر نوجوان لاجواب".split() + ["بد نصیب"]
 
@@ -257,3 +263,54 @@ class TestGen:
         )
         assert code == 0
         assert "accuracy_percent\t100.0" in out
+
+
+# Pieces of rule, gold, lexicon and running-text files: letters, harakat,
+# ZWNJ, BOM, field and line separators (tab and LF twice, so that lines
+# with several fields are common), directives and keywords, digits and
+# Urdu punctuation.
+_PIECES = [
+    *URDU_LETTERS, *DIACRITICS, ZWNJ, "\ufeff", "\t", "\t", "\r\n", "\n", "\n", " ",
+    "#", "#!exception", "#!default-min-stem", "S", "P", "noun", "verb", "adj",
+    "0", "2", "۴", "۔", "،",
+]
+_FILE_TEXT = st.lists(st.sampled_from(_PIECES), max_size=40).map("".join)
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+class TestContract:
+    """The module docstring's promise over arbitrary files: exit code 0, 1
+    or 2, and nothing on stdout unless the code is 0."""
+
+    @pytest.mark.parametrize("argv", [
+        ("stem", "{text}", "--rules", "{rules}"),
+        ("stem", "{text}", "--rules", "{rules}",
+         "--strip-diacritics=false", "--json", "--suffix-passes", "2"),
+        ("eval", "--rules", "{rules}", "--gold", "{gold}"),
+        ("gen", "--lexicon", "{lexicon}"),
+        ("rules", "validate", "--rules", "{rules}"),
+    ], ids=["stem", "stem-keep-json-2", "eval", "gen", "rules-validate"])
+    @settings(max_examples=100, deadline=None)
+    @given(files=st.fixed_dictionaries({
+        "text": _FILE_TEXT,
+        "rules": st.one_of(_FILE_TEXT, st.just(data.read_text(data.DEFAULT_RULES))),
+        "gold": _FILE_TEXT,
+        "lexicon": st.one_of(_FILE_TEXT, st.just(data.read_text(data.GROUP1_LEXICON))),
+    }))
+    def test_exit_code_and_no_partial_output(self, contract_dir, argv, files):
+        paths = {}
+        for role, text in files.items():
+            paths[role] = contract_dir / role
+            paths[role].write_bytes(text.encode("utf-8"))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main([arg.format(**paths) for arg in argv])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), err.getvalue()
+        assert code == 0 or out.getvalue() == ""

@@ -7,22 +7,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from urdustem import data
-from urdustem.corpus import Token, TokenKind, _char_class, data_lines, normalize, tokenize
-from urdustem.graphemes import ZWNJ
+from urdustem.corpus import data_lines, normalize, tokenize
+from urdustem.graphemes import ZWJ, ZWNJ
 from urdustem.stemmer import stem_batch
 
-from conftest import URDU_LETTERS, random_word
-
-DIACRITICS = "ًٌٍَُِّْ"
+from conftest import DIACRITICS, URDU_LETTERS
 
 
-def reference_tokenize(text: str) -> list[Token]:
-    """Classify every character afresh, with no chunking and no class cache."""
-    return [
-        Token("".join(run), kind)
-        for kind, run in groupby(text, _char_class)
-        if kind is not None
-    ]
+def _in_word(ch: str) -> bool:
+    return unicodedata.category(ch)[0] in "LM" or ch in (ZWNJ, ZWJ)
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """Test every character afresh, with no chunking and no memo."""
+    return ["".join(run) for in_word, run in groupby(text, _in_word) if in_word]
 
 
 # The merged table ``normalize`` used to run through ``str.translate``:
@@ -132,46 +130,32 @@ class TestNormalize:
 
 class TestTokenize:
     def test_whitespace_split(self):
-        tokens = tokenize("علاقوں میں")
-        assert [(t.surface, t.kind) for t in tokens] == [
-            ("علاقوں", TokenKind.WORD),
-            ("میں", TokenKind.WORD),
-        ]
+        assert tokenize("علاقوں میں") == ["علاقوں", "میں"]
 
     def test_empty_string(self):
         assert tokenize("") == []
 
     def test_kinds(self):
-        tokens = tokenize("سال 2013، ٹیسٹ!")
-        assert [t.kind for t in tokens] == [
-            TokenKind.WORD,
-            TokenKind.NUMBER,
-            TokenKind.PUNCT,
-            TokenKind.WORD,
-            TokenKind.PUNCT,
-        ]
+        # Digits and punctuation, fused to a word or standing alone, are dropped.
+        assert tokenize("سال 2013، ٹیسٹ!") == ["سال", "ٹیسٹ"]
 
     def test_zwnj_is_word_internal(self):
-        tokens = tokenize("خوش" + ZWNJ + "حال")
-        assert len(tokens) == 1
-        assert tokens[0].kind is TokenKind.WORD
+        assert tokenize("خوش" + ZWNJ + "حال") == ["خوش" + ZWNJ + "حال"]
 
     @given(st.text())
-    def test_surfaces_rebuild_text_without_whitespace(self, text):
-        tokens = tokenize(text)
-        assert "".join(t.surface for t in tokens) == "".join(text.split())
-        assert all(t.surface and not any(ch.isspace() for ch in t.surface) for t in tokens)
+    def test_words_rebuild_the_word_characters_of_text(self, text):
+        words = tokenize(text)
+        assert "".join(words) == "".join(filter(_in_word, text))
+        assert all(words)
 
     def test_fixed_paragraph_token_count(self):
-        # 40 sentences of 5 words and a final punctuation mark each:
-        # 200 word tokens plus 40 punctuation tokens, counted by hand
-        # from the construction.
+        # 40 sentences of 5 words and a final punctuation mark each: 200
+        # words, counted by hand from the construction.
         sentence = "علاقوں میں نوجوان لوگ رہتے۔"
         paragraph = " ".join([sentence] * 40)
-        tokens = tokenize(paragraph)
-        assert len(tokens) == 240
-        assert sum(t.kind is TokenKind.WORD for t in tokens) == 200
-        assert sum(t.kind is TokenKind.PUNCT for t in tokens) == 40
+        words = tokenize(paragraph)
+        assert len(words) == 200
+        assert words == sentence[:-1].split() * 40
 
     def test_deterministic(self):
         text = "علاقوں میں، 42 لوگ۔"
@@ -180,7 +164,7 @@ class TestTokenize:
     def test_lone_surrogate_passes_through_the_pipeline(self):
         # Library entry points raise documented errors, never UnicodeError.
         text = normalize("کتابیں\ud800 لڑکوں \udfffَ")
-        words = [t.surface for t in tokenize(text)]
+        words = tokenize(text)
         assert [r.word for r in stem_batch(words, data.load_rules())] == words
 
     @given(st.text(alphabet=URDU_LETTERS + DIACRITICS + ZWNJ + "0123۴۵" + "۔، \n"))
@@ -197,38 +181,25 @@ class TestTokenize:
     def test_matches_reference_on_mixed_scripts_and_separators(self, text):
         assert tokenize(text) == reference_tokenize(text)
 
-    def test_lone_surrogate_in_mixed_chunk(self):
-        assert tokenize("a\ud800b") == [
-            Token("a", TokenKind.WORD),
-            Token("\ud800", TokenKind.OTHER),
-            Token("b", TokenKind.WORD),
-        ]
-        assert tokenize("ab \ud800c") == [
-            Token("ab", TokenKind.WORD),
-            Token("\ud800", TokenKind.OTHER),
-            Token("c", TokenKind.WORD),
-        ]
+    def test_matches_reference_on_every_code_point(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert tokenize(every) == reference_tokenize(every)
 
-    def test_token_contract(self):
-        assert Token._fields == ("surface", "kind")
-        token = Token("کتاب", TokenKind.WORD)
-        with pytest.raises(AttributeError):
-            token.surface = "کتب"
-        twin = Token("کتاب", TokenKind.WORD)
-        assert token == twin and hash(token) == hash(twin)
-        text = "کتاب، 42 $x"
-        assert tokenize(text) == reference_tokenize(text)
+    def test_lone_surrogate_in_mixed_chunk(self):
+        assert tokenize("a\ud800b") == ["a", "b"]
+        assert tokenize("ab \ud800c") == ["ab", "c"]
 
 
 class TestTokenizeChunkFacts:
-    """The two Unicode facts ``tokenize``'s whitespace chunking rests on,
-    checked over every code point of the running interpreter's database."""
+    """The two Unicode facts ``tokenize``'s chunking and letters-only fast
+    path rest on, checked over every code point of the running
+    interpreter's database."""
 
     ALL = "".join(map(chr, range(sys.maxunicode + 1)))
 
     def test_str_split_drops_exactly_the_isspace_characters(self):
         assert "".join(self.ALL.split()) == "".join(ch for ch in self.ALL if not ch.isspace())
 
-    def test_every_alphabetic_character_is_word_class(self):
-        letters = [ch for ch in self.ALL if ch.isalpha()]
-        assert [ch for ch in letters if _char_class(ch) is not TokenKind.WORD] == []
+    def test_isalpha_is_exactly_category_letter(self):
+        assert [ch for ch in self.ALL
+                if ch.isalpha() != unicodedata.category(ch).startswith("L")] == []
