@@ -13,8 +13,8 @@ error paths never leave partial lines behind.
 """
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring
 
 from urdustem import corpus, evaluation, morphology
 from urdustem.evaluation import EvalError, GoldFileError
@@ -25,6 +25,7 @@ from urdustem.stemmer import (
     SUFFIX_FIRST,
     StemConfig,
     StemError,
+    StemResult,
     stem_batch,
 )
 
@@ -32,8 +33,16 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
 
-# One encoder for every --json line; json.dumps would build one per call.
-_json_line = json.JSONEncoder(ensure_ascii=False).encode
+# A --json line has a fixed schema.  encode_basestring is the escaper that
+# JSONEncoder(ensure_ascii=False) applies to strings, so the bytes match it.
+_JSON_LINE = '{"word": %s, "prefix": %s, "stem": %s, "suffix": %s, "applied": [%s], "exception": %s}\n'
+
+
+def _json_line(r: StemResult) -> str:
+    q = encode_basestring
+    return _JSON_LINE % (q(r.word), "null" if r.prefix is None else q(r.prefix), q(r.stem),
+                         "null" if r.suffix is None else q(r.suffix),
+                         ", ".join(map(q, r.applied)), "true" if r.exception_hit else "false")
 
 
 class CliError(Exception):
@@ -110,13 +119,10 @@ def cmd_stem(args) -> int:
         if r.word in lines:
             continue
         if args.json:
-            line = _json_line(
-                {"word": r.word, "prefix": r.prefix, "stem": r.stem, "suffix": r.suffix,
-                 "applied": list(r.applied), "exception": r.exception_hit}
-            )
+            lines[r.word] = _json_line(r)
         else:
-            line = "\t".join((r.word, _clean_field(r.prefix), r.stem, _clean_field(r.suffix)))
-        lines[r.word] = line + "\n"
+            fields = (r.word, _clean_field(r.prefix), r.stem, _clean_field(r.suffix))
+            lines[r.word] = "\t".join(fields) + "\n"
     sys.stdout.write("".join([lines[r.word] for r in results]))
     return EXIT_OK
 

@@ -100,8 +100,10 @@ class RuleSet:
 
     Rules are kept sorted by pattern grapheme length, descending, ties in
     source order.  ``buckets`` (not a field) indexes them for the stemmer:
-    per kind, a tuple of ``(pattern_length, {pattern: rule})`` pairs,
-    longest first.  Building it rejects a duplicate ``(kind, pattern)``.
+    per kind, a tuple of ``(pattern_length, {pattern: (rule, min_clusters)})``
+    pairs, longest first; ``min_clusters``, the pattern length plus the
+    effective ``min_stem``, is the fewest grapheme clusters a word needs for
+    the rule to fire.  Building it rejects a duplicate ``(kind, pattern)``.
     """
 
     rules: tuple[AffixRule, ...]
@@ -118,12 +120,12 @@ class RuleSet:
         for word in self.exceptions:
             if not unicodedata.is_normalized("NFC", word):
                 raise ValueError(f"exception word {word!r} is not NFC")
-        buckets: dict[AffixKind, dict[int, dict[str, AffixRule]]] = {k: {} for k in AffixKind}
+        buckets: dict[AffixKind, dict[int, dict]] = {k: {} for k in AffixKind}
         for rule in self.rules:
             bucket = buckets[rule.kind].setdefault(rule.pattern_length, {})
             if rule.pattern in bucket:
                 raise ValueError(f"duplicate rule {rule.rule_id}")
-            bucket[rule.pattern] = rule
+            bucket[rule.pattern] = (rule, rule.pattern_length + self.effective_min_stem(rule))
         object.__setattr__(self, "buckets", {k: tuple(b.items()) for k, b in buckets.items()})
 
     def effective_min_stem(self, rule: AffixRule) -> int:

@@ -70,12 +70,14 @@ class StemResult:
         return self.prefix is None and self.suffix is None and not self.exception_hit
 
 
-def _scan(wg: list[str], buckets, suffix: bool, rs: RuleSet):
+def _scan(wg: list[str], buckets, suffix: bool):
     """Longest legal rule in *buckets* for the cluster list *wg*, or None.
 
     Probes the word edge (the end when *suffix*, else the start) once per
-    pattern length in *buckets*, one kind's entry of ``rs.buckets``.
-    Returns ``(rule, detached_surface, residual_clusters)``.
+    pattern length in *buckets*, one kind's entry of ``RuleSet.buckets``,
+    and takes a match only if *wg* has its rule's minimum cluster count.
+    Returns ``(rule, residual_clusters)``; the detached surface is
+    ``rule.pattern``, the index key that matched, i.e. the joined edge.
 
     Without a replacement the residual is a slice of *wg*, and it equals
     ``graphemes.split`` of the joined residual: a suffix strip keeps a
@@ -86,15 +88,15 @@ def _scan(wg: list[str], buckets, suffix: bool, rs: RuleSet):
     (e.g. alif + maddah).
     """
     for plen, by_pattern in buckets:
-        edge = "".join(wg[-plen:] if suffix else wg[:plen])
-        rule = by_pattern.get(edge)
-        if rule is not None and len(wg) - plen >= rs.effective_min_stem(rule):
+        hit = by_pattern.get("".join(wg[-plen:] if suffix else wg[:plen]))
+        if hit is not None and len(wg) >= hit[1]:
+            rule = hit[0]
             rest = wg[:-plen] if suffix else wg[plen:]
             if not rule.replacement:
-                return rule, edge, rest
+                return rule, rest
             kept = "".join(rest)
             recoded = kept + rule.replacement if suffix else rule.replacement + kept
-            return rule, edge, graphemes.split(unicodedata.normalize("NFC", recoded))
+            return rule, graphemes.split(unicodedata.normalize("NFC", recoded))
     return None
 
 
@@ -125,17 +127,17 @@ def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemR
     suffix_parts: list[str] = []
     for suffix, buckets, passes in phases:
         for _ in range(passes):
-            hit = _scan(wg, buckets, suffix, rs)
+            hit = _scan(wg, buckets, suffix)
             if hit is None:
                 break
-            rule, surface, wg = hit
+            rule, wg = hit
             applied.append(rule.rule_id)
             if suffix:
                 # Later-stripped suffixes sit closer to the stem, i.e.
                 # earlier in logical order.
-                suffix_parts.insert(0, surface)
+                suffix_parts.insert(0, rule.pattern)
             else:
-                prefix_parts.append(surface)
+                prefix_parts.append(rule.pattern)
 
     return StemResult(
         word=word,

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from urdustem import data
-from urdustem.cli import main
+from urdustem.cli import _json_line, main
 from urdustem.graphemes import ZWNJ
-from urdustem.stemmer import stem_batch
+from urdustem.stemmer import StemResult, stem_batch
 
 from conftest import DIACRITICS, URDU_LETTERS
 
@@ -24,6 +24,14 @@ TABLE2_TSV = [
     "لاجواب\tلا\tجواب\t",
     "بد نصیب\tبد\tنصیب\t",
 ]
+
+
+# Characters the JSON string escaper treats differently: quote, backslash,
+# C0 controls, DEL, U+2028, lone surrogates, Urdu letters, harakat, ZWNJ.
+_JSON_FIELD = st.text(alphabet=st.sampled_from(
+    '"\\' + "".join(map(chr, range(0x20))) + "\x7f\u2028\ud800\udbff\udc00\udfff "
+    + URDU_LETTERS + DIACRITICS + ZWNJ
+), max_size=6)
 
 
 @pytest.fixture
@@ -108,6 +116,19 @@ class TestStem:
         code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
         assert code == 0 and err == ""
         assert out == "".join(line + "\n" for line in expected)
+
+    @given(
+        word=_JSON_FIELD, stem=_JSON_FIELD,
+        prefix=st.none() | _JSON_FIELD, suffix=st.none() | _JSON_FIELD,
+        applied=st.lists(_JSON_FIELD, max_size=3).map(tuple), exception=st.booleans(),
+    )
+    def test_json_line_equals_json_encoder(self, word, stem, prefix, suffix, applied, exception):
+        r = StemResult(word, stem, prefix, suffix, applied, exception)
+        expected = json.JSONEncoder(ensure_ascii=False).encode(
+            {"word": word, "prefix": prefix, "stem": stem, "suffix": suffix,
+             "applied": list(applied), "exception": exception}
+        )
+        assert _json_line(r) == expected + "\n"
 
     def test_bad_rule_file_exits_1(self, capsys, tmp_path, table2_input):
         bad = tmp_path / "bad.rules"

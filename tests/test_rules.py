@@ -84,16 +84,23 @@ class TestEveryAcceptedRuleFires:
         pattern=st.text(alphabet="ابکی\u064e\u0650\u0653\u0654" + ZWNJ + ZWJ,
                         min_size=1, max_size=4),
         min_stem=st.sampled_from([None, 1, 2, 3]),
+        default_min_stem=st.integers(1, 3),
+        cluster=st.sampled_from(["ب", "ب\u064e"]),
+        short=st.booleans(),
     )
-    def test_accepted_rule_fires_next_to_a_plain_stem(self, kind, pattern, min_stem):
+    def test_accepted_rule_fires_next_to_a_plain_stem(
+        self, kind, pattern, min_stem, default_min_stem, cluster, short
+    ):
+        # The rule fires on a stem of exactly effective_min_stem clusters,
+        # and not on one cluster fewer; a marked cluster is two code points.
         try:
             rule = AffixRule(kind, pattern, min_stem=min_stem)
         except ValueError:
             return
-        rs = RuleSet((rule,))
-        stem = "ب" * rs.effective_min_stem(rule)
+        rs = RuleSet((rule,), default_min_stem=default_min_stem)
+        stem = cluster * (rs.effective_min_stem(rule) - short)
         word = unicodedata.normalize("NFC", stem + pattern if kind is S else pattern + stem)
-        assert stem_word(word, rs).applied == (rule.rule_id,)
+        assert stem_word(word, rs).applied == (() if short else (rule.rule_id,))
 
 
 class TestOrderRules:

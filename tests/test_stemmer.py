@@ -9,6 +9,7 @@ from urdustem import graphemes, stemmer
 from urdustem.graphemes import ZWNJ
 from urdustem.rules import AffixKind, AffixRule, RuleSet, parse_rule_file
 from urdustem.stemmer import (
+    MAX_PASSES,
     PREFIX_FIRST,
     SUFFIX_FIRST,
     StemConfig,
@@ -239,6 +240,33 @@ class TestAgainstOracle:
                 suffix_passes=2, prefix_passes=2,
             )
             assert (got.prefix, got.stem, got.suffix, got.exception_hit, got.applied) == expected
+
+    @pytest.mark.parametrize("order", [SUFFIX_FIRST, PREFIX_FIRST])
+    @pytest.mark.parametrize("suffix_passes", [0, 1, 2, MAX_PASSES])
+    @pytest.mark.parametrize("prefix_passes", [0, 1, 2, MAX_PASSES])
+    def test_every_config_matches_brute_force(self, order, suffix_passes, prefix_passes):
+        rng = random.Random(f"{order} {suffix_passes} {prefix_passes}")
+        rs, naive_rules, default_min = random_ruleset(rng, n_rules=12)
+        cfg = StemConfig(suffix_passes, prefix_passes, order)
+        prefixes = [r.pattern for r in naive_rules if r.kind == "P"] or [""]
+        suffixes = [r.pattern for r in naive_rules if r.kind == "S"] or [""]
+        most_applied = 0
+        for _ in range(300):
+            # Stack rule patterns on both sides so that multi-pass chains and
+            # the min_stem boundary come up often.
+            word = "".join(
+                [rng.choice(prefixes) for _ in range(rng.randint(0, 3))]
+                + [random_word(rng, 1, 4)]
+                + [rng.choice(suffixes) for _ in range(rng.randint(0, 3))]
+            )
+            got = stem_word(word, rs, cfg)
+            expected = naive_stem(
+                word, naive_rules, rs.exceptions, default_min,
+                suffix_passes=suffix_passes, prefix_passes=prefix_passes, order=order,
+            )
+            assert (got.prefix, got.stem, got.suffix, got.exception_hit, got.applied) == expected
+            most_applied = max(most_applied, len(got.applied))
+        assert most_applied >= min(2, suffix_passes + prefix_passes)
 
 
 HARAKAT = "".join(chr(cp) for cp in range(0x064B, 0x0653))
