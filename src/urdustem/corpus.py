@@ -10,7 +10,7 @@ import re
 import unicodedata
 from collections.abc import Iterator
 from importlib import resources
-from itertools import groupby
+from itertools import dropwhile, groupby
 
 from urdustem.graphemes import extends_cluster
 
@@ -69,30 +69,34 @@ def normalize(text: str, strip_diacritics: bool = True) -> str:
     return unicodedata.normalize("NFC", text)
 
 
-class _InWord(dict):
-    """``tokenize``'s per-call memo: whether a character belongs to a word."""
+class _ChunkWords(dict):
+    """``tokenize``'s per-call memo: the words of a chunk that is not letters-only."""
 
-    def __missing__(self, ch: str) -> bool:
-        in_word = self[ch] = ch.isalpha() or extends_cluster(ch)
-        return in_word
+    def __missing__(self, chunk: str) -> list[str]:
+        runs = groupby(chunk, lambda ch: ch.isalpha() or extends_cluster(ch))
+        starts = (dropwhile(extends_cluster, run) for in_word, run in runs if in_word)
+        words = self[chunk] = [word for word in map("".join, starts) if word]
+        return words
 
 
 def tokenize(text: str) -> list[str]:
     """Return the words of normalized text, in order.
 
-    A word is a maximal run of letters (``str.isalpha``, category L*),
-    combining marks and ZWNJ/ZWJ (``graphemes.extends_cluster``); every
-    other character, whitespace, digits, punctuation, symbols and lone
-    surrogates alike, ends a word and is dropped.  The text is cut into
+    A word starts with a letter (``str.isalpha``, category L*) and runs on
+    over letters, combining marks and ZWNJ/ZWJ (``graphemes.extends_cluster``);
+    every other character, whitespace, digits, punctuation, symbols and lone
+    surrogates alike, ends a word and is dropped, and so are marks and
+    joiners that no letter precedes within the run.  The text is cut into
     whitespace-free chunks by ``str.split``.  A chunk of letters only is one
-    word as it stands; any other chunk is split into its word runs, each
-    distinct character tested once per call.
+    word as it stands; any other chunk, each distinct one once per call, is
+    split into its runs of word characters, and each run loses its leading
+    marks and joiners.
     """
     words: list[str] = []
-    in_word = _InWord().__getitem__
+    chunk_words = _ChunkWords()
     for chunk in text.split():
         if chunk.isalpha():
             words.append(chunk)
         else:
-            words += ["".join(run) for is_word, run in groupby(chunk, in_word) if is_word]
+            words += chunk_words[chunk]
     return words

@@ -6,9 +6,9 @@ counts as one unit.  The segmentation here is deliberately small -- a
 cluster is a base character followed by Unicode mark characters (category
 M*) and the zero-width (non-)joiners, which is sufficient for
 Perso-Arabic text.  Text made only of letters (``str.isalpha``, category
-L*) has no extender, so ``split`` returns its code points without the
-per-character loop; the stemmer splits each word once and slices the
-cluster list from then on.
+L*) has no extender, so ``split`` returns its code points and ``count``
+their number, without the per-character loop; the stemmer counts a
+word's clusters once and never splits letters-only text.
 """
 
 import unicodedata
@@ -40,4 +40,4 @@ def extends_cluster(ch: str) -> bool:
 
 def count(text: str) -> int:
     """Number of grapheme clusters in *text*."""
-    return len(split(text))
+    return len(text) if text.isalpha() else len(split(text))

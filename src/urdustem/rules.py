@@ -100,8 +100,9 @@ class RuleSet:
 
     Rules are kept sorted by pattern grapheme length, descending, ties in
     source order.  ``buckets`` (not a field) indexes them for the stemmer:
-    per kind, a tuple of ``(pattern_length, {pattern: (rule, min_clusters)})``
-    pairs, longest first; ``min_clusters``, the pattern length plus the
+    keyed by ``kind is AffixKind.SUFFIX``, a tuple of ``(k, {pattern: (rule,
+    min_clusters)})`` pairs, where *k* is the pattern length in code points,
+    longest first; ``min_clusters``, the pattern's grapheme count plus the
     effective ``min_stem``, is the fewest grapheme clusters a word needs for
     the rule to fire.  Building it rejects a duplicate ``(kind, pattern)``.
     """
@@ -120,9 +121,9 @@ class RuleSet:
         for word in self.exceptions:
             if not unicodedata.is_normalized("NFC", word):
                 raise ValueError(f"exception word {word!r} is not NFC")
-        buckets: dict[AffixKind, dict[int, dict]] = {k: {} for k in AffixKind}
-        for rule in self.rules:
-            bucket = buckets[rule.kind].setdefault(rule.pattern_length, {})
+        buckets: dict[bool, dict[int, dict]] = {True: {}, False: {}}
+        for rule in sorted(self.rules, key=lambda r: -len(r.pattern)):
+            bucket = buckets[rule.kind is AffixKind.SUFFIX].setdefault(len(rule.pattern), {})
             if rule.pattern in bucket:
                 raise ValueError(f"duplicate rule {rule.rule_id}")
             bucket[rule.pattern] = (rule, rule.pattern_length + self.effective_min_stem(rule))

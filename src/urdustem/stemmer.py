@@ -5,16 +5,17 @@ probe per pattern length, longest first, and detaches the first affix
 found that leaves a long-enough residual stem.  A word matching nothing
 is returned unchanged; exception-listed words are returned verbatim
 before any rule is consulted.  A recoded stem is renormalized to NFC.
-Each word is split into grapheme clusters once; every pass slices that
-cluster list, and only a recoding splits again.  ``stem_batch`` stems
-each distinct word once, so repeats share one :class:`StemResult`.
+Every pass probes the word string itself and carries the residual's
+cluster count as arithmetic; only a recoding counts clusters again.
+``stem_batch`` stems each distinct word once, so repeats share one
+:class:`StemResult`.
 """
 
 import unicodedata
 from dataclasses import dataclass, field
 
 from urdustem import graphemes
-from urdustem.rules import AffixKind, RuleSet
+from urdustem.rules import RuleSet
 
 MAX_PASSES = 4
 
@@ -70,33 +71,43 @@ class StemResult:
         return self.prefix is None and self.suffix is None and not self.exception_hit
 
 
-def _scan(wg: list[str], buckets, suffix: bool):
-    """Longest legal rule in *buckets* for the cluster list *wg*, or None.
+def _scan(word: str, n: int, buckets, suffix: bool):
+    """Longest legal rule in *buckets* for *word* of *n* clusters, or None.
 
     Probes the word edge (the end when *suffix*, else the start) once per
-    pattern length in *buckets*, one kind's entry of ``RuleSet.buckets``,
-    and takes a match only if *wg* has its rule's minimum cluster count.
-    Returns ``(rule, residual_clusters)``; the detached surface is
-    ``rule.pattern``, the index key that matched, i.e. the joined edge.
+    pattern length in *buckets*, ``RuleSet.buckets[suffix]``, and takes a
+    match only if *n* reaches its rule's minimum cluster count.  Returns
+    ``(rule, residual, residual_clusters)``; the detached surface is
+    ``rule.pattern``, the index key that matched.
 
-    Without a replacement the residual is a slice of *wg*, and it equals
-    ``graphemes.split`` of the joined residual: a suffix strip keeps a
-    leading run of clusters, and a prefix strip keeps a run that starts
-    at a cluster other than the first, which always starts with a
-    non-extender.  Only a recoding splits again, after NFC, since a
-    replacement may start with a mark that composes with the residual
-    (e.g. alif + maddah).
+    A match stands only where it cuts the word between two clusters.  A
+    suffix pattern starts with a non-extender (``AffixRule`` rejects the
+    others), which always starts a cluster; a prefix cut is refused when
+    the residual, non-empty once the count check passes, starts with an
+    extender.  So every match that stands is a run of whole clusters: the
+    residual has ``n - rule.pattern_length`` of them, and of two patterns
+    that match one edge (so differ in length) the longer adds at least one
+    whole cluster to the shorter, so longest first by code points probes
+    in the order of longest first by clusters.  Only a recoding counts
+    again, after NFC, since a replacement may start with a mark that
+    composes with the residual (e.g. alif + maddah).
     """
-    for plen, by_pattern in buckets:
-        hit = by_pattern.get("".join(wg[-plen:] if suffix else wg[:plen]))
-        if hit is not None and len(wg) >= hit[1]:
-            rule = hit[0]
-            rest = wg[:-plen] if suffix else wg[plen:]
-            if not rule.replacement:
-                return rule, rest
-            kept = "".join(rest)
-            recoded = kept + rule.replacement if suffix else rule.replacement + kept
-            return rule, graphemes.split(unicodedata.normalize("NFC", recoded))
+    for k, by_pattern in buckets:
+        hit = by_pattern.get(word[-k:] if suffix else word[:k])
+        if hit is None or n < hit[1]:
+            continue
+        rule = hit[0]
+        if suffix:
+            rest = word[:-k]
+        else:
+            rest = word[k:]
+            if graphemes.extends_cluster(rest[0]):
+                continue
+        if not rule.replacement:
+            return rule, rest, n - rule.pattern_length
+        recoded = rest + rule.replacement if suffix else rule.replacement + rest
+        recoded = unicodedata.normalize("NFC", recoded)
+        return rule, recoded, graphemes.count(recoded)
     return None
 
 
@@ -114,23 +125,21 @@ def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemR
     if word in rs.exceptions:
         return StemResult(word=word, stem=word, exception_hit=True)
 
-    phases = [
-        (True, rs.buckets[AffixKind.SUFFIX], cfg.max_suffix_passes),
-        (False, rs.buckets[AffixKind.PREFIX], cfg.max_prefix_passes),
-    ]
+    phases = ((True, cfg.max_suffix_passes), (False, cfg.max_prefix_passes))
     if cfg.order == PREFIX_FIRST:
-        phases.reverse()
+        phases = phases[::-1]
 
-    wg = graphemes.split(word)
+    stem, n = word, graphemes.count(word)
     applied: list[str] = []
     prefix_parts: list[str] = []
     suffix_parts: list[str] = []
-    for suffix, buckets, passes in phases:
+    for suffix, passes in phases:
+        buckets = rs.buckets[suffix]
         for _ in range(passes):
-            hit = _scan(wg, buckets, suffix)
+            hit = _scan(stem, n, buckets, suffix)
             if hit is None:
                 break
-            rule, wg = hit
+            rule, stem, n = hit
             applied.append(rule.rule_id)
             if suffix:
                 # Later-stripped suffixes sit closer to the stem, i.e.
@@ -141,7 +150,7 @@ def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemR
 
     return StemResult(
         word=word,
-        stem="".join(wg),
+        stem=stem,
         prefix="".join(prefix_parts) or None,
         suffix="".join(suffix_parts) or None,
         applied=tuple(applied),

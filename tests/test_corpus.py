@@ -18,9 +18,29 @@ def _in_word(ch: str) -> bool:
     return unicodedata.category(ch)[0] in "LM" or ch in (ZWNJ, ZWJ)
 
 
+def _is_letter(ch: str) -> bool:
+    return unicodedata.category(ch)[0] == "L"
+
+
 def reference_tokenize(text: str) -> list[str]:
-    """Test every character afresh, with no chunking and no memo."""
-    return ["".join(run) for in_word, run in groupby(text, _in_word) if in_word]
+    """Test every character afresh, with no chunking and no memo.
+
+    A letter opens a word unless one is open, a mark or joiner joins the
+    open word and is dropped when none is open, and every other character
+    closes the open word.
+    """
+    words: list[list[str]] = []
+    is_open = False
+    for ch in text:
+        if _is_letter(ch):
+            if not is_open:
+                words.append([])
+            is_open = True
+        elif not _in_word(ch):
+            is_open = False
+        if is_open:
+            words[-1].append(ch)
+    return ["".join(word) for word in words]
 
 
 # The merged table ``normalize`` used to run through ``str.translate``:
@@ -144,9 +164,26 @@ class TestTokenize:
 
     @given(st.text())
     def test_words_rebuild_the_word_characters_of_text(self, text):
+        # The word characters of text, less the marks and joiners that open
+        # a run of them: lstrip removes a run's leading non-letters.
+        runs = ["".join(run) for in_word, run in groupby(text, _in_word) if in_word]
+        kept = [run.lstrip("".join(ch for ch in run if not _is_letter(ch))) for run in runs]
         words = tokenize(text)
-        assert "".join(words) == "".join(filter(_in_word, text))
-        assert all(words)
+        assert "".join(words) == "".join(kept)
+        assert all(words) and all(_is_letter(word[0]) for word in words)
+
+    @pytest.mark.parametrize("text,words", [
+        ("،\u064e", []),
+        ("۔\u0670", []),
+        ("2\u0650کتاب", ["کتاب"]),
+        ("7" + ZWNJ + "x", ["x"]),
+        ("\u064e" + ZWNJ + "کتاب\u064e" + ZWNJ + "یں", ["کتاب\u064e" + ZWNJ + "یں"]),
+    ])
+    def test_word_starts_with_a_letter(self, text, words):
+        # Marks and joiners after punctuation, a digit or a space are
+        # dropped; those after a letter stay in the word.
+        assert tokenize(text) == words
+        assert tokenize(" " + text) == words
 
     def test_fixed_paragraph_token_count(self):
         # 40 sentences of 5 words and a final punctuation mark each: 200

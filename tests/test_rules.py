@@ -8,6 +8,7 @@ from urdustem.evaluation import GoldEntry, GoldFileError, parse_gold_file
 from urdustem.graphemes import ZWJ, ZWNJ
 from urdustem.morphology import ParadigmEntry, parse_lexicon_file
 from urdustem.rules import (
+    DEFAULT_MIN_STEM,
     AffixKind,
     AffixRule,
     RuleParseError,
@@ -225,13 +226,17 @@ class TestRuleSet:
             RuleSet(rules)
 
     def test_buckets_index_each_kind_longest_first(self):
-        rs = parse_rule_file("S\tی\nS\tوں\nP\tنو\nS\tیاں\nS\tات\n")
-        assert [(n, list(b)) for n, b in rs.buckets[S]] == [
-            (3, ["یاں"]),
+        # Keyed by the suffix flag, then by pattern length in code points:
+        # the fatha puts the two-cluster "وَں" and "بَد" among the length-3
+        # patterns, while min_clusters still counts clusters.
+        rs = parse_rule_file("S\tی\nS\tوں\nP\tنو\nS\tیاں\nS\tات\nS\tوَں\nP\tبَد\n")
+        assert [(n, list(b)) for n, b in rs.buckets[True]] == [
+            (3, ["یاں", "وَں"]),
             (2, ["وں", "ات"]),
             (1, ["ی"]),
         ]
-        assert [(n, list(b)) for n, b in rs.buckets[P]] == [(2, ["نو"])]
+        assert [(n, list(b)) for n, b in rs.buckets[False]] == [(3, ["بَد"]), (2, ["نو"])]
+        assert dict(rs.buckets[True])[3]["وَں"][1] == 2 + DEFAULT_MIN_STEM
         assert "buckets" not in repr(rs)
 
     def test_non_nfc_exception_word_rejected(self):

@@ -146,6 +146,8 @@ class TestSingleSplit:
         "عَلاقوں", "خوش" + ZWNJ + "حالیاں", "\u064eکتابیں",
     ])
     def test_one_split_per_word_plus_one_per_recoding(self, table2_rules, monkeypatch, word):
+        """At most one split for the word and one per recoded stem, and only
+        of such text that is not letters-only: a letters-only word makes none."""
         calls = []
         real_split = graphemes.split
 
@@ -156,9 +158,23 @@ class TestSingleSplit:
         monkeypatch.setattr(graphemes, "split", counting)
         by_id = {r.rule_id: r for r in table2_rules.rules}
         res = stem_word(word, table2_rules, StemConfig(max_suffix_passes=2, max_prefix_passes=2))
-        recodings = sum(1 for rule_id in res.applied if by_id[rule_id].replacement)
-        assert calls[0] == word
-        assert len(calls) == 1 + recodings
+        # Replay the fired rules on the string to get every recoded stem.
+        stem, recoded = word, []
+        for rule in map(by_id.get, res.applied):
+            if rule.kind is S:
+                assert stem.endswith(rule.pattern)
+                stem = stem[:len(stem) - len(rule.pattern)] + rule.replacement
+            else:
+                assert stem.startswith(rule.pattern)
+                stem = rule.replacement + stem[len(rule.pattern):]
+            stem = unicodedata.normalize("NFC", stem)
+            if rule.replacement:
+                recoded.append(stem)
+        assert stem == res.stem
+        assert calls == [text for text in [word, *recoded] if not text.isalpha()]
+        assert len(calls) <= 1 + len(recoded)
+        if word.isalpha():
+            assert calls == []
 
 
 class TestBatch:
@@ -349,8 +365,13 @@ class TestMarkedWordsAgainstOracle:
     by mapping each grapheme cluster to one private-use code point."""
 
     @settings(max_examples=150, deadline=None)
-    @given(case=_marked_cases(), passes=st.integers(1, 2))
-    def test_marked_words_match_brute_force(self, case, passes):
+    @given(
+        case=_marked_cases(),
+        order=st.sampled_from([SUFFIX_FIRST, PREFIX_FIRST]),
+        suffix_passes=st.sampled_from([0, 1, 2, MAX_PASSES]),
+        prefix_passes=st.sampled_from([0, 1, 2, MAX_PASSES]),
+    )
+    def test_marked_words_match_brute_force(self, case, order, suffix_passes, prefix_passes):
         rs, words = case
         for text in words + [r.pattern for r in rs.rules]:
             assert graphemes.split(text) == regex.findall(r"\X", text)
@@ -369,15 +390,59 @@ class TestMarkedWordsAgainstOracle:
             NaiveRule(r.kind.value, mapped(r.pattern), mapped(r.replacement), r.min_stem)
             for r in rs.rules
         ]
-        cfg = StemConfig(max_suffix_passes=passes, max_prefix_passes=passes)
+        cfg = StemConfig(suffix_passes, prefix_passes, order)
         for word in words:
             got = stem_word(word, rs, cfg)
             applied = tuple(f"{a[0]}:{mapped(a[2:])}" for a in got.applied)
             expected = naive_stem(
                 mapped(word), naive_rules, frozenset(), rs.default_min_stem,
-                suffix_passes=passes, prefix_passes=passes,
+                suffix_passes=suffix_passes, prefix_passes=prefix_passes, order=order,
             )
             assert (
                 mapped(got.prefix), mapped(got.stem), mapped(got.suffix),
                 got.exception_hit, applied,
             ) == expected
+
+
+class TestStringScan:
+    """Edges are probed on the word string, so a cut must fall between two
+    grapheme clusters and the residual's cluster count must stay exact."""
+
+    CFG = StemConfig(max_suffix_passes=2, max_prefix_passes=2)
+
+    @pytest.mark.parametrize("word", [
+        "نوِٹفچخ",  # the kasra belongs to the prefix's last cluster
+        "نوَجوان",
+        "نو" + ZWNJ + "جوان",  # so does a ZWNJ
+    ])
+    def test_prefix_cut_inside_a_cluster_is_refused(self, table2_rules, word):
+        res = stem_word(word, table2_rules, self.CFG)
+        assert (res.prefix, res.stem, res.applied) == (None, word, ())
+
+    def test_prefix_before_a_zwnj_inside_the_stem_fires(self, table2_rules):
+        res = stem_word("نوج" + ZWNJ + "وان", table2_rules, self.CFG)
+        assert (res.prefix, res.stem) == ("نو", "ج" + ZWNJ + "وان")
+
+    def test_suffix_after_a_marked_cluster(self, table2_rules):
+        res = stem_word("علاقَوں", table2_rules, self.CFG)
+        assert (res.prefix, res.stem, res.suffix) == (None, "علاقَہ", "وں")
+
+    @pytest.mark.parametrize("min_stem,fires", [(4, True), (5, False)])
+    def test_residual_counted_in_clusters_across_passes(self, min_stem, fires):
+        # 7 clusters, 9 code points: after "یَ" (one cluster, two code
+        # points), the residual "کتَابوں" has 6 clusters, and stripping "وں"
+        # would leave "کتَاب", 4 clusters.
+        rs = RuleSet((AffixRule(S, "یَ"), AffixRule(S, "وں", "", min_stem)))
+        res = stem_word("کتَابوںیَ", rs, self.CFG)
+        assert res.applied == (("S:یَ", "S:وں") if fires else ("S:یَ",))
+
+    @pytest.mark.parametrize("min_stem,fires", [(2, True), (3, False)])
+    def test_recoding_composed_under_nfc_is_recounted(self, min_stem, fires):
+        # "کتا" + maddah composes to "کتآ", 3 clusters where the detached
+        # residual and the replacement count 3 + 1.
+        rs = RuleSet((AffixRule(S, "بی", "\u0653"), AffixRule(S, "\u0622", "", min_stem)))
+        res = stem_word("کتابی", rs, self.CFG)
+        if fires:
+            assert (res.stem, res.suffix) == ("کت", "\u0622بی")
+        else:
+            assert (res.stem, res.suffix) == ("کت\u0622", "بی")
