@@ -1,12 +1,16 @@
 """Shipped data files and loaders.
 
 * ``default.rules`` -- the default affix rules: the published suggestive
-  affix list plus the recodings needed to reproduce the documented
-  stemming outputs.
+  affix list plus the recodings that reproduce the documented stemming
+  outputs, whose stems are he-final (``علاقوں`` -> ``علاقہ``).  It does not
+  target the alif-final citation forms of ``generate_gold``: it strips
+  their final alif.
 * ``paradigm.rules`` -- companion rules that undo the group-1 noun
-  paradigm, mapping case endings back to the alif-final citation form.
+  paradigm, mapping case endings back to the alif-final citation form
+  that ``generate_gold`` writes as the expected stem.
 * ``table2.rules`` -- default rules extended with the compound-splitting
-  prefix and exception entry used by the golden regression test.
+  prefix and exception entry used by the golden regression test; the
+  same stem convention as ``default.rules``.
 * ``lexicon_group1.tsv`` -- alif-final masculine noun lemmas for
   round-trip testing.
 * ``unify_map.tsv`` -- Arabic-to-Urdu letter unification table used by

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 
 from urdustem import graphemes
-from urdustem.corpus import data_lines
+from urdustem.corpus import data_lines, normalize
 from urdustem.stemmer import StemResult
 
 
@@ -211,10 +211,11 @@ def parse_gold_file(text: str) -> list[GoldEntry]:
     """Parse a gold-corpus TSV: ``word  stem  [prefix]  [suffix]``.
 
     Empty affix fields mean "no affix expected".  ``#`` starts a comment.
-    Lines are framed by :func:`urdustem.corpus.data_lines`.
+    Letters are unified as ``stem`` unifies them (marks are kept), then
+    lines are framed by :func:`urdustem.corpus.data_lines`.
     """
     entries: list[GoldEntry] = []
-    for lineno, line in data_lines(text):
+    for lineno, line in data_lines(normalize(text, strip_diacritics=False)):
         if line.startswith("#"):
             continue
         fields = line.split("\t")

@@ -10,7 +10,6 @@ no rules for.
 from dataclasses import dataclass
 from enum import Enum
 
-from urdustem import graphemes
 from urdustem.corpus import data_lines
 from urdustem.evaluation import GoldEntry
 
@@ -50,7 +49,7 @@ class ParadigmEntry:
     lemma: str
 
     def __post_init__(self) -> None:
-        if not self.lemma or graphemes.split(self.lemma)[-1] not in (ALIF, CHOTI_HE, AIN):
+        if not self.lemma.endswith((ALIF, CHOTI_HE, AIN)):
             raise ParadigmError(
                 f"no paradigm specified for lemma {self.lemma!r} "
                 f"(must end in {ALIF}, {CHOTI_HE} or {AIN})"
@@ -90,65 +89,59 @@ _NOUN_ENDINGS = {
 # Fixed feature order used by generate_gold.
 FEATURE_ORDER = tuple(_NOUN_ENDINGS)
 
+# Verb endings (infinitive, direct, indirect causative) follow the root;
+# adjective endings (masculine oblique, feminine) replace the final alif.
+_VERB_ENDINGS = (INFINITIVE, DIRECT_CAUSATIVE, INDIRECT_CAUSATIVE)
+_ADJECTIVE_ENDINGS = (YE_BARI, FARSI_YE)
+
 
 def inflect_noun(entry: ParadigmEntry, number: Number, case: Case) -> str:
     """Inflect a group-1 masculine noun for number and case."""
     ending = _NOUN_ENDINGS[(number, case)]
     if ending is None:
         return entry.lemma
-    lg = graphemes.split(entry.lemma)
-    if lg[-1] == AIN:
+    if entry.lemma.endswith(AIN):
         return entry.lemma + ending
-    return "".join(lg[:-1]) + ending
+    return entry.lemma[:-1] + ending
 
 
 def inflect_verb(root: str) -> tuple[str, str, str]:
     """Build the (infinitive, direct causative, indirect causative) triple."""
     if not root:
         raise ParadigmError("verb root must be non-empty")
-    return (root + INFINITIVE, root + DIRECT_CAUSATIVE, root + INDIRECT_CAUSATIVE)
+    return tuple(root + ending for ending in _VERB_ENDINGS)
 
 
 def inflect_adjective(lemma: str) -> tuple[str, str]:
     """Masculine-oblique and feminine agreement forms of an alif-final adjective."""
-    lg = graphemes.split(lemma)
-    if not lg or lg[-1] != ALIF:
+    if not lemma.endswith(ALIF):
         raise ParadigmError(f"paradigm not specified for adjective {lemma!r} (must end in {ALIF})")
-    base = "".join(lg[:-1])
-    return (base + YE_BARI, base + FARSI_YE)
-
-
-def _surface_suffix(lemma: str, surface: str) -> str | None:
-    """The surface-minus-lemma difference after their common grapheme prefix."""
-    lg = graphemes.split(lemma)
-    sg = graphemes.split(surface)
-    i = 0
-    while i < len(lg) and i < len(sg) and lg[i] == sg[i]:
-        i += 1
-    rest = "".join(sg[i:])
-    return rest or None
+    return tuple(lemma[:-1] + ending for ending in _ADJECTIVE_ENDINGS)
 
 
 def generate_gold(lexicon) -> list[GoldEntry]:
     """Expand a lexicon of nouns, verb roots and adjectives into gold entries.
 
     Output order is lexicon order crossed with the fixed feature order;
-    the expected stem is always the citation form (lemma/root).
+    the expected stem is always the citation form (lemma/root), and the
+    expected suffix the ending the inflector added (none for an unchanged
+    form).  That ending is exactly the surface past its common grapheme
+    prefix with the lemma: every ending starts with a letter, and one that
+    replaces a final alif or he starts with another letter (ain nouns and
+    verbs only append).
     """
     entries: list[GoldEntry] = []
     for item in lexicon:
         if isinstance(item, ParadigmEntry):
-            lemma = item.lemma
+            lemma, endings = item.lemma, [_NOUN_ENDINGS[key] for key in FEATURE_ORDER]
             surfaces = [inflect_noun(item, number, case) for number, case in FEATURE_ORDER]
         elif isinstance(item, VerbRoot):
-            lemma, surfaces = item.root, inflect_verb(item.root)
+            lemma, endings, surfaces = item.root, _VERB_ENDINGS, inflect_verb(item.root)
         elif isinstance(item, Adjective):
-            lemma, surfaces = item.lemma, inflect_adjective(item.lemma)
+            lemma, endings, surfaces = item.lemma, _ADJECTIVE_ENDINGS, inflect_adjective(item.lemma)
         else:
             raise ParadigmError(f"unsupported lexicon item {item!r}")
-        entries.extend(
-            GoldEntry(s, lemma, expected_suffix=_surface_suffix(lemma, s)) for s in surfaces
-        )
+        entries.extend(GoldEntry(s, lemma, expected_suffix=e) for s, e in zip(surfaces, endings))
     return entries
 
 

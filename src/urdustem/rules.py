@@ -18,9 +18,10 @@ the directives::
     #!default-min-stem <TAB> n    min_stem used by rules that omit it
 
 Fields are not trimmed: a pattern may legitimately end in a space
-(e.g. a prefix that consumes the following separator).  Lines are framed
-(BOM, NFC, CRLF) by :func:`urdustem.corpus.data_lines`, as gold and lexicon
-lines are.
+(e.g. a prefix that consumes the following separator).  Letters are
+unified as ``stem`` unifies them (marks are kept), then lines are framed
+(BOM, NFC, CRLF) by :func:`urdustem.corpus.data_lines`, as gold and
+lexicon lines are.
 
 Rules that could never fire are rejected: a suffix pattern starting
 with a combining mark or joiner (which belongs to the preceding
@@ -33,7 +34,7 @@ from enum import Enum
 from functools import cached_property
 
 from urdustem import graphemes
-from urdustem.corpus import data_lines
+from urdustem.corpus import data_lines, normalize
 
 DEFAULT_MIN_STEM = 2
 
@@ -157,7 +158,7 @@ def parse_rule_file(text: str) -> RuleSet:
     exceptions: set[str] = set()
     default_min_stem = DEFAULT_MIN_STEM
 
-    for lineno, line in data_lines(text):
+    for lineno, line in data_lines(normalize(text, strip_diacritics=False)):
         if line.startswith("#!"):
             fields = line.split("\t")
             directive = fields[0]
@@ -226,6 +227,8 @@ def _parse_min_stem(text: str, lineno: int) -> int:
 def _check_writable(text: str, what: str) -> None:
     if not {"\t", "\r", "\n"}.isdisjoint(text):
         raise ValueError(f"{what} holds a tab, CR or LF, which a rule file cannot express")
+    if normalize(text, strip_diacritics=False) != text:
+        raise ValueError(f"{what} holds a letter that reading a rule file unifies")
 
 
 def _rule_fields(rule: AffixRule) -> list[str]:
@@ -239,7 +242,8 @@ def serialize_rule_set(rs: RuleSet) -> str:
     ``parse_rule_file(serialize_rule_set(rs))`` equals ``rs``, and the
     output is a fixpoint of serialize-after-parse.  Raises
     :class:`ValueError` for a rule set the format cannot express: a tab,
-    CR or LF inside a pattern, replacement or exception word, or a
+    CR or LF inside a pattern, replacement or exception word, a letter
+    there that reading unifies (an Arabic ``ي`` reads back as ``ی``), or a
     digit-only replacement on a rule without its own ``min_stem`` (it
     would read back as ``min_stem``).
     """
@@ -253,7 +257,8 @@ def serialize_rule_set(rs: RuleSet) -> str:
         _check_writable(word, f"exception {word!r}")
         lines.append(f"#!exception\t{word}")
     for rule in rs.rules:
-        _check_writable(rule.pattern + rule.replacement, f"rule {rule.rule_id!r}")
+        for text in (rule.pattern, rule.replacement):
+            _check_writable(text, f"rule {rule.rule_id!r}")
         if rule.min_stem is None and rule.replacement.isascii() and rule.replacement.isdigit():
             raise ValueError(
                 f"rule {rule.rule_id!r}: a digit-only replacement needs an explicit min_stem"

@@ -130,6 +130,15 @@ class TestStem:
         )
         assert _json_line(r) == expected + "\n"
 
+    def test_rule_with_arabic_letters_fires(self, capsys, tmp_path):
+        # Input and rule file are unified alike, so the Arabic-yeh suffix fires.
+        rules = tmp_path / "arabic.rules"
+        rules.write_text("S\tيں\n", encoding="utf-8")
+        words = tmp_path / "words.txt"
+        words.write_text("كتابيں\n", encoding="utf-8")
+        code, out, _ = run(capsys, "stem", str(words), "--rules", str(rules))
+        assert (code, out) == (0, "کتابیں\t\tکتاب\tیں\n")
+
     def test_bad_rule_file_exits_1(self, capsys, tmp_path, table2_input):
         bad = tmp_path / "bad.rules"
         bad.write_text("S\tی\tیاں\n", encoding="utf-8")
@@ -178,6 +187,15 @@ class TestEval:
         )
         assert code == 0
         assert "0.0" in out
+
+    def test_gold_with_arabic_letters_scored_as_stem_reads_them(self, capsys, tmp_path):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("كتابيں\tكتاب\t\tيں\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys, "eval", "--rules", data.path(data.DEFAULT_RULES), "--gold", str(gold)
+        )
+        assert code == 0
+        assert "\ncorrect\t1\n" in out and "\nunder_stemming\t0\n" in out
 
     def test_corrupted_gold_line_exits_2(self, capsys, tmp_path):
         gold = tmp_path / "gold.tsv"

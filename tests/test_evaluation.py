@@ -258,6 +258,13 @@ class TestGoldFile:
     def test_leading_bom_ignored(self):
         assert parse_gold_file("\ufeffقلم\tقلم\n") == parse_gold_file("قلم\tقلم\n")
 
+    def test_letters_unified_marks_kept(self):
+        # Arabic yeh and kaf read as the Urdu letters that stem unifies them to.
+        assert parse_gold_file("كتابيں\tكتاب\t\tيں\nك\u064eتاب\tك\u064eتاب\n") == [
+            GoldEntry("کتابیں", "کتاب", None, "یں"),
+            GoldEntry("ک\u064eتاب", "ک\u064eتاب"),
+        ]
+
     def test_comments_ignored(self):
         assert parse_gold_file("# header\nقلم\tقلم\n")[0].word == "قلم"
 

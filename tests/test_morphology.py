@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, strategies as st
 
 from urdustem import graphemes
+from urdustem.graphemes import ZWJ, ZWNJ
 from urdustem.morphology import (
     Adjective,
     Case,
@@ -135,6 +137,46 @@ class TestGenerateGold:
     def test_unsupported_item_rejected(self):
         with pytest.raises(ParadigmError, match="unsupported"):
             generate_gold(["کر"])
+
+
+def _cluster_suffix(lemma, surface):
+    """Reference: the surface past its longest common grapheme-cluster prefix with the lemma."""
+    lg, sg = graphemes.split(lemma), graphemes.split(surface)
+    i = 0
+    while i < len(lg) and i < len(sg) and lg[i] == sg[i]:
+        i += 1
+    return "".join(sg[i:]) or None
+
+
+def _has_paradigm(kind, lemma):
+    """Reference: whether the lemma's last grapheme cluster admits the item kind."""
+    if not lemma:
+        return False
+    last = graphemes.split(lemma)[-1]
+    return kind is VerbRoot or last in {ParadigmEntry: ("ا", "ہ", "ع"), Adjective: ("ا",)}[kind]
+
+
+# Letters (the three paradigm finals among them), fatha, kasra, superscript
+# alef, hamza above, maddah, ZWNJ and ZWJ, so that clusters span code points.
+_LEMMAS = st.text(alphabet="اآہعکلمبوےیء\u064e\u0650\u0670\u0654\u0653" + ZWNJ + ZWJ, max_size=6)
+
+
+@given(kind=st.sampled_from([ParadigmEntry, VerbRoot, Adjective]), lemma=_LEMMAS)
+@example(kind=ParadigmEntry, lemma="ک\u064eا")
+@example(kind=ParadigmEntry, lemma="کا\u0653")
+@example(kind=Adjective, lemma="ل\u0670ا")
+@example(kind=VerbRoot, lemma="\u064e")
+def test_generate_gold_matches_cluster_reference(kind, lemma):
+    try:
+        gold = generate_gold([kind(lemma)])
+    except ParadigmError:
+        assert not _has_paradigm(kind, lemma)
+        return
+    assert _has_paradigm(kind, lemma)
+    assert len(gold) == {ParadigmEntry: 6, VerbRoot: 3, Adjective: 2}[kind]
+    for g in gold:
+        assert g.expected_stem == lemma and g.expected_prefix is None
+        assert g.expected_suffix == _cluster_suffix(lemma, g.word)
 
 
 class TestLexiconFile:

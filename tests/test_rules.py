@@ -211,6 +211,10 @@ class TestParse:
         text = "S\tوں\tہ\n#!exception\tحیات\n"
         assert parse_rule_file("\ufeff" + text) == parse_rule_file(text)
 
+    def test_letters_unified_marks_kept(self):
+        rs = parse_rule_file("S\tيں\nP\tك\u064e\n#!exception\tكتاب\n")
+        assert rs == RuleSet((AffixRule(S, "یں"), AffixRule(P, "ک\u064e")), frozenset({"کتاب"}))
+
     def test_duplicate_pattern_different_kind_is_fine(self):
         rs = parse_rule_file("S\tنو\nP\tنو\n")
         assert len(rs.rules) == 2
@@ -313,7 +317,9 @@ class TestSerialize:
 
     def test_round_trip_with_exceptions_and_min_stem(self):
         rs = RuleSet(
-            (AffixRule(S, "وں", "ہ", 3), AffixRule(P, "بد "), AffixRule(S, "ab", "5", 2)),
+            # "ہ" then "\u0654" would compose, but they sit in separate fields.
+            (AffixRule(S, "وں", "ہ", 3), AffixRule(P, "بد "), AffixRule(S, "ab", "5", 2),
+             AffixRule(S, "ہ", "\u0654")),
             frozenset({"بدمعاش", "حیات"}),
             default_min_stem=3,
         )
@@ -326,8 +332,13 @@ class TestSerialize:
             (RuleSet((AffixRule(S, "a\tb"),)), "'S:a\\tb'"),  # would read back as a -> b
             (RuleSet((AffixRule(S, "ab", "\n"),)), "'S:ab'"),  # the replacement would be lost
             (RuleSet((), frozenset({"a\rb"})), "'a\\rb'"),
+            # Reading unifies Arabic yeh, heh and kaf to the Urdu letters.
+            (RuleSet((AffixRule(S, "يں"),)), "'S:يں'"),
+            (RuleSet((AffixRule(S, "وں", "ه"),)), "'S:وں'"),
+            (RuleSet((), frozenset({"كتاب"})), "'كتاب'"),
         ],
-        ids=["digit-replacement", "tab-in-pattern", "lf-in-replacement", "cr-in-exception"],
+        ids=["digit-replacement", "tab-in-pattern", "lf-in-replacement", "cr-in-exception",
+             "arabic-yeh-in-pattern", "arabic-heh-in-replacement", "arabic-kaf-in-exception"],
     )
     def test_inexpressible_rule_set_raises_naming_it(self, rs, name):
         with pytest.raises(ValueError) as exc_info:
