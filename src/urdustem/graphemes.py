@@ -5,10 +5,11 @@ not code points: an Urdu base letter plus any trailing combining marks
 counts as one unit.  The segmentation here is deliberately small -- a
 cluster is a base character followed by Unicode mark characters (category
 M*) and the zero-width (non-)joiners, which is sufficient for
-Perso-Arabic text.  Text made only of letters (``str.isalpha``, category
-L*) has no extender, so ``split`` returns its code points and ``count``
-their number, without the per-character loop; the stemmer counts a
-word's clusters once and never splits letters-only text.
+Perso-Arabic text.  Whether a code point extends a cluster is decided
+once, in one table that ``str.translate`` also reads to delete extenders:
+``count`` never splits.  Text made only of letters (``str.isalpha``,
+category L*) has no extender, so ``split`` returns its code points and
+``count`` their number.
 """
 
 import unicodedata
@@ -16,7 +17,17 @@ import unicodedata
 ZWNJ = "\u200c"
 ZWJ = "\u200d"
 
-_EXTENDERS = {ZWNJ, ZWJ}
+
+class _ExtenderTable(dict):
+    """Code point -> ``None`` for an extender, else itself; filled on first sight."""
+
+    def __missing__(self, cp: int) -> int | None:
+        ch = chr(cp)
+        self[cp] = None if ch in (ZWNJ, ZWJ) or unicodedata.category(ch).startswith("M") else cp
+        return self[cp]
+
+
+_DROP_EXTENDERS = _ExtenderTable()
 
 
 def split(text: str) -> list[str]:
@@ -35,9 +46,12 @@ def split(text: str) -> list[str]:
 
 def extends_cluster(ch: str) -> bool:
     """Whether *ch* joins the preceding cluster instead of starting one."""
-    return ch in _EXTENDERS or unicodedata.category(ch).startswith("M")
+    return _DROP_EXTENDERS[ord(ch)] is None
 
 
 def count(text: str) -> int:
     """Number of grapheme clusters in *text*."""
-    return len(text) if text.isalpha() else len(split(text))
+    if text.isalpha():
+        return len(text)
+    # Each non-extender starts a cluster, and so does a leading extender.
+    return len(text.translate(_DROP_EXTENDERS)) + (text != "" and extends_cluster(text[0]))

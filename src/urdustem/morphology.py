@@ -10,7 +10,7 @@ no rules for.
 from dataclasses import dataclass
 from enum import Enum
 
-from urdustem.corpus import data_lines
+from urdustem.corpus import data_lines, normalize
 from urdustem.evaluation import GoldEntry
 
 ALIF = "ا"
@@ -148,11 +148,12 @@ def generate_gold(lexicon) -> list[GoldEntry]:
 def parse_lexicon_file(text: str):
     """Parse a lexicon TSV: lines of ``noun|verb|adj <TAB> lemma``.
 
-    Lines are framed by :func:`urdustem.corpus.data_lines`, then trimmed;
-    ``#`` starts a comment.
+    Letters are unified as ``stem`` unifies them (marks are kept), then
+    lines are framed by :func:`urdustem.corpus.data_lines` and trimmed, as
+    rule and gold lines are; ``#`` starts a comment.
     """
     items = []
-    for lineno, line in data_lines(text):
+    for lineno, line in data_lines(normalize(text, strip_diacritics=False)):
         line = line.strip()
         if line.startswith("#"):
             continue

@@ -101,7 +101,8 @@ class RuleSet:
 
     Rules are kept sorted by pattern grapheme length, descending, ties in
     source order.  ``buckets`` (not a field) indexes them for the stemmer:
-    keyed by ``kind is AffixKind.SUFFIX``, a tuple of ``(k, {pattern: (rule,
+    keyed by ``kind is AffixKind.SUFFIX``, then by edge letter (a suffix's
+    last code point, a prefix's first), a tuple of ``(k, {pattern: (rule,
     min_clusters)})`` pairs, where *k* is the pattern length in code points,
     longest first; ``min_clusters``, the pattern's grapheme count plus the
     effective ``min_stem``, is the fewest grapheme clusters a word needs for
@@ -122,13 +123,18 @@ class RuleSet:
         for word in self.exceptions:
             if not unicodedata.is_normalized("NFC", word):
                 raise ValueError(f"exception word {word!r} is not NFC")
-        buckets: dict[bool, dict[int, dict]] = {True: {}, False: {}}
+        buckets: dict[bool, dict[str, dict[int, dict]]] = {True: {}, False: {}}
         for rule in sorted(self.rules, key=lambda r: -len(r.pattern)):
-            bucket = buckets[rule.kind is AffixKind.SUFFIX].setdefault(len(rule.pattern), {})
+            suffix = rule.kind is AffixKind.SUFFIX
+            by_length = buckets[suffix].setdefault(rule.pattern[-1 if suffix else 0], {})
+            bucket = by_length.setdefault(len(rule.pattern), {})
             if rule.pattern in bucket:
                 raise ValueError(f"duplicate rule {rule.rule_id}")
             bucket[rule.pattern] = (rule, rule.pattern_length + self.effective_min_stem(rule))
-        object.__setattr__(self, "buckets", {k: tuple(b.items()) for k, b in buckets.items()})
+        object.__setattr__(self, "buckets", {
+            suffix: {edge: tuple(b.items()) for edge, b in by_edge.items()}
+            for suffix, by_edge in buckets.items()
+        })
 
     def effective_min_stem(self, rule: AffixRule) -> int:
         return rule.min_stem if rule.min_stem is not None else self.default_min_stem

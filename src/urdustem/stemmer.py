@@ -1,14 +1,14 @@
 """Affix stripping by longest-first edge matching.
 
-The engine looks the word edge up in the rule set's pattern index, one
-probe per pattern length, longest first, and detaches the first affix
-found that leaves a long-enough residual stem.  A word matching nothing
-is returned unchanged; exception-listed words are returned verbatim
-before any rule is consulted.  A recoded stem is renormalized to NFC.
-Every pass probes the word string itself and carries the residual's
-cluster count as arithmetic; only a recoding counts clusters again.
-``stem_batch`` stems each distinct word once, so repeats share one
-:class:`StemResult`.
+The engine looks the word's edge letter up in the rule set's pattern
+index, probes once per pattern length under it, longest first, and
+detaches the first affix found that leaves a long-enough residual stem.
+A word matching nothing is returned unchanged; exception-listed words
+are returned verbatim before any rule is consulted.  A recoded stem is
+renormalized to NFC.  Every pass probes the word string itself and
+carries the residual's cluster count as arithmetic; only a recoding
+counts clusters again.  ``stem_batch`` stems each distinct word once, so
+repeats share one :class:`StemResult`.
 """
 
 import unicodedata
@@ -74,11 +74,13 @@ class StemResult:
 def _scan(word: str, n: int, buckets, suffix: bool):
     """Longest legal rule in *buckets* for *word* of *n* clusters, or None.
 
-    Probes the word edge (the end when *suffix*, else the start) once per
-    pattern length in *buckets*, ``RuleSet.buckets[suffix]``, and takes a
-    match only if *n* reaches its rule's minimum cluster count.  Returns
-    ``(rule, residual, residual_clusters)``; the detached surface is
-    ``rule.pattern``, the index key that matched.
+    Looks the edge letter of *word* (the last code point when *suffix*,
+    else the first) up in *buckets*, ``RuleSet.buckets[suffix]``, probes
+    the edge once per pattern length under it, longest first, and takes a
+    match only if *n* reaches its rule's minimum cluster count.  *word* is
+    never empty: ``stem_word`` rejects ``""``, and ``min_stem >= 1`` leaves
+    a cluster after every cut.  Returns ``(rule, residual,
+    residual_clusters)``; the detached surface is ``rule.pattern``.
 
     A match stands only where it cuts the word between two clusters.  A
     suffix pattern starts with a non-extender (``AffixRule`` rejects the
@@ -92,7 +94,7 @@ def _scan(word: str, n: int, buckets, suffix: bool):
     again, after NFC, since a replacement may start with a mark that
     composes with the residual (e.g. alif + maddah).
     """
-    for k, by_pattern in buckets:
+    for k, by_pattern in buckets.get(word[-1] if suffix else word[0], ()):
         hit = by_pattern.get(word[-k:] if suffix else word[:k])
         if hit is None or n < hit[1]:
             continue

@@ -292,6 +292,16 @@ class TestGen:
             f"urdustem: {lex}: line 2: paradigm not specified for adjective 'سرخ' (must end in ا)"
         )
 
+    def test_lexicon_in_arabic_letters_gives_the_urdu_gold(self, capsys, tmp_path):
+        # Arabic heh and kaf are unified in the lexicon as in stem's input.
+        outs = []
+        for text in ("noun\tعلاقه\nnoun\tلڑكا\n", "noun\tعلاقہ\nnoun\tلڑکا\n"):
+            lex = tmp_path / "lex.tsv"
+            lex.write_text(text, encoding="utf-8")
+            outs.append(run(capsys, "gen", "--lexicon", str(lex)))
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0 and "علاقوں\tعلاقہ\t\tوں\n" in outs[0][1]
+
     def test_gen_output_feeds_eval(self, capsys, tmp_path):
         gold = tmp_path / "gold.tsv"
         code, out, _ = run(capsys, "gen", "--lexicon", data.path(data.GROUP1_LEXICON))

@@ -1,4 +1,5 @@
 import sys
+import unicodedata
 
 from hypothesis import given, strategies as st
 
@@ -10,6 +11,16 @@ from conftest import URDU_LETTERS
 HARAKAT = "\u064b\u064c\u064d\u064e\u064f\u0650\u0651\u0652"
 MADDAH = "\u0653"
 TATWEEL = "\u0640"
+
+
+def reference_extends(ch: str) -> bool:
+    """A mark (category M*), ZWNJ or ZWJ joins the cluster before it."""
+    return ch in (ZWNJ, ZWJ) or unicodedata.category(ch).startswith("M")
+
+
+def reference_count(text: str) -> int:
+    """Clusters by category: the first code point and every non-extender start one."""
+    return sum(1 for i, ch in enumerate(text) if i == 0 or not reference_extends(ch))
 
 
 def loop_split(text: str) -> list[str]:
@@ -62,3 +73,18 @@ _ALPHABET = URDU_LETTERS + _MARKS + TATWEEL + "0123456789۰۱۲ "
 )
 def test_split_matches_per_character_loop(lead, text):
     assert graphemes.split(lead + text) == loop_split(lead + text)
+
+
+_LEADS = ["", *_MARKS, "\u0670", "\u0301", "\u0670" + ZWNJ]
+_COUNT_ALPHABET = URDU_LETTERS + _MARKS + "\u0670\u0301" + "0123456789۰۱۲ " + "\ud800"
+
+
+@given(lead=st.sampled_from(_LEADS), text=st.text(_COUNT_ALPHABET, max_size=16))
+def test_count_deletes_extenders_as_split_counts_clusters(lead, text):
+    text = lead + text
+    assert graphemes.count(text) == len(graphemes.split(text)) == reference_count(text)
+
+
+@given(st.characters(exclude_categories=()))
+def test_extends_cluster_matches_categories(ch):
+    assert graphemes.extends_cluster(ch) == reference_extends(ch)

@@ -195,6 +195,10 @@ class TestLexiconFile:
         with pytest.raises(ParadigmError, match="line 2"):
             parse_lexicon_file("noun\tہتھوڑا\nadverb\tیہاں\n")
 
+    def test_letters_unified_marks_kept(self):
+        items = parse_lexicon_file("noun\tعلاقه\nnoun\tلڑكا\nverb\tك\u064eر\n")
+        assert items == [ParadigmEntry("علاقہ"), ParadigmEntry("لڑکا"), VerbRoot("ک\u064eر")]
+
     def test_shipped_lexicon_loads(self):
         from urdustem import data
 

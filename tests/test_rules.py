@@ -220,6 +220,11 @@ class TestParse:
         assert len(rs.rules) == 2
 
 
+def _index(by_edge):
+    """``RuleSet.buckets[suffix]`` with each pattern dict reduced to its keys."""
+    return {edge: [(k, list(b)) for k, b in by_length] for edge, by_length in by_edge.items()}
+
+
 class TestRuleSet:
     @pytest.mark.parametrize("rules,rule_id", [
         ((AffixRule(S, "ی"), AffixRule(S, "ی", "ا")), "S:ی"),
@@ -230,23 +235,70 @@ class TestRuleSet:
             RuleSet(rules)
 
     def test_buckets_index_each_kind_longest_first(self):
-        # Keyed by the suffix flag, then by pattern length in code points:
-        # the fatha puts the two-cluster "وَں" and "بَد" among the length-3
-        # patterns, while min_clusters still counts clusters.
+        # Keyed by the suffix flag, then by the edge letter (a suffix's last
+        # code point, a prefix's first), then by pattern length in code
+        # points: the fatha puts the two-cluster "وَں" and "بَد" among the
+        # length-3 patterns, while min_clusters still counts clusters.
         rs = parse_rule_file("S\tی\nS\tوں\nP\tنو\nS\tیاں\nS\tات\nS\tوَں\nP\tبَد\n")
-        assert [(n, list(b)) for n, b in rs.buckets[True]] == [
-            (3, ["یاں", "وَں"]),
-            (2, ["وں", "ات"]),
-            (1, ["ی"]),
-        ]
-        assert [(n, list(b)) for n, b in rs.buckets[False]] == [(3, ["بَد"]), (2, ["نو"])]
-        assert dict(rs.buckets[True])[3]["وَں"][1] == 2 + DEFAULT_MIN_STEM
+        assert _index(rs.buckets[True]) == {
+            "ں": [(3, ["یاں", "وَں"]), (2, ["وں"])],
+            "ت": [(2, ["ات"])],
+            "ی": [(1, ["ی"])],
+        }
+        assert _index(rs.buckets[False]) == {"ب": [(3, ["بَد"])], "ن": [(2, ["نو"])]}
+        assert dict(rs.buckets[True]["ں"])[3]["وَں"][1] == 2 + DEFAULT_MIN_STEM
         assert "buckets" not in repr(rs)
 
     def test_non_nfc_exception_word_rejected(self):
         with pytest.raises(ValueError, match="exception word .* is not NFC"):
             RuleSet((), frozenset({"کتا\u0627\u0653"}))
         assert RuleSet((), frozenset({"کت\u0622"})).exceptions == {"کت\u0622"}
+
+
+def _parts(word, rs):
+    res = stem_word(word, rs)
+    return res.prefix, res.stem, res.suffix
+
+
+class TestEdgeIndex:
+    """Each pattern sits under its edge letter, and the stemmer finds it there."""
+
+    def test_patterns_sharing_an_edge_letter_probe_longest_first(self):
+        rs = parse_rule_file("S\tں\t4\nS\tوں\nS\tیوں\t3\nS\tئیوں\t9\nS\tات\n")
+        assert _index(rs.buckets[True]) == {
+            "ں": [(4, ["ئیوں"]), (3, ["یوں"]), (2, ["وں"]), (1, ["ں"])],
+            "ت": [(2, ["ات"])],
+        }
+        # The longest pattern that leaves enough stem wins; a too-short
+        # residual falls through to the next length under the same letter.
+        assert _parts("لڑکیوں", rs) == (None, "لڑک", "یوں")
+        assert _parts("کئیوں", rs) == (None, "کئی", "وں")
+        assert _parts("سوالات", rs) == (None, "سوال", "ات")
+        assert _parts("مکاں", rs) == (None, "مکاں", None)  # "ں" needs 4 more clusters
+
+    def test_suffix_ending_in_a_mark_sits_under_the_mark(self):
+        rs = parse_rule_file("S\tیَ\nS\tی\n")
+        assert _index(rs.buckets[True]) == {"\u064e": [(2, ["یَ"])], "ی": [(1, ["ی"])]}
+        assert _parts("کتابیَ", rs) == (None, "کتاب", "یَ")
+        assert _parts("کتابی", rs) == (None, "کتاب", "ی")
+        assert _parts("کتابَ", rs) == (None, "کتابَ", None)
+
+    def test_prefix_with_a_trailing_space_sits_under_its_first_letter(self):
+        rs = parse_rule_file("P\tبد \nP\tبد\nP\tب\n")
+        assert _index(rs.buckets[False]) == {"ب": [(3, ["بد "]), (2, ["بد"]), (1, ["ب"])]}
+        assert _parts("بد نصیب", rs) == ("بد ", "نصیب", None)
+        assert _parts("بدنام", rs) == ("بد", "نام", None)
+        assert rs.buckets[True] == {}
+
+    def test_duplicate_under_a_shared_edge_letter_still_raises(self):
+        rules = (AffixRule(S, "وں"), AffixRule(S, "یاں"), AffixRule(S, "ں"), AffixRule(S, "وں", "ا"))
+        with pytest.raises(ValueError, match="duplicate rule S:وں"):
+            RuleSet(rules)
+        # The same pattern as a prefix is another rule under another edge.
+        rs = RuleSet((AffixRule(S, "نو"), AffixRule(P, "نو")))
+        assert (_index(rs.buckets[True]), _index(rs.buckets[False])) == (
+            {"و": [(2, ["نو"])]}, {"ن": [(2, ["نو"])]},
+        )
 
 
 _TEXT = ["وں", "ہ", "ے", "ات", "بد ", "قلم", "لڑکا", "علاقہ", "کھا", "اچھا"]
