@@ -105,6 +105,10 @@ def cmd_stem(args) -> int:
     text = corpus.normalize(_read_input(args.input), strip_diacritics=args.strip_diacritics)
     if args.pretokenized:
         words = [w for w in map(str.strip, text.split("\n")) if w]
+        if "\t" in text or "\r" in text:
+            for lineno, word in enumerate(map(str.strip, text.split("\n")), start=1):
+                if "\t" in word or "\r" in word:
+                    raise CliError(f"{args.input}: line {lineno}: tab or CR inside a word", EXIT_INPUT)
     else:
         words = corpus.tokenize(text)
     try:

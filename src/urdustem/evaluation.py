@@ -8,11 +8,10 @@ produced stem's clusters occur that way inside the expected stem; other
 when neither holds (e.g. a recoding divergence).
 """
 
-import dataclasses
 import json
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from urdustem import graphemes
 from urdustem.corpus import data_lines, normalize
@@ -31,18 +30,13 @@ class EvalError(ValueError):
     """Results and gold entries that cannot be evaluated together."""
 
 
-@dataclass(frozen=True)
-class GoldEntry:
-    """A word with its expected decomposition."""
+class GoldEntry(NamedTuple):
+    """A word and its expected decomposition; ``evaluate`` rejects an empty word or stem."""
 
     word: str
     expected_stem: str
     expected_prefix: str | None = None
     expected_suffix: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.word or not self.expected_stem:
-            raise ValueError("gold word and expected_stem must be non-empty")
 
 
 class ErrorClass(Enum):
@@ -52,9 +46,8 @@ class ErrorClass(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Counts and exact accuracy for one evaluation run."""
+class EvalReport(NamedTuple):
+    """Counts and exact accuracy for one evaluation run, immutable."""
 
     total_words: int
     correct: int
@@ -98,6 +91,8 @@ def classify_error(result: StemResult, gold: GoldEntry, stem_only: bool = False)
     """
     if result.word != gold.word:
         raise EvalError(f"result word {result.word!r} does not match gold word {gold.word!r}")
+    if not gold.word or not gold.expected_stem:
+        raise EvalError("gold word and expected_stem must be non-empty")
     if _is_correct(result, gold, stem_only):
         return ErrorClass.CORRECT
     expected = graphemes.split(gold.expected_stem)
@@ -186,8 +181,8 @@ _KV_KEYS = {attr: key for attr, key, _ in _REPORT_FIELDS}
 
 def _rendered(report: EvalReport) -> dict:
     """Field values as printed, in EvalReport field order."""
-    values = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
-    return {k: format_percent(v) if isinstance(v, Fraction) else v for k, v in values.items()}
+    return {k: format_percent(v) if isinstance(v, Fraction) else v
+            for k, v in report._asdict().items()}
 
 
 def summarize(report: EvalReport) -> str:
@@ -223,10 +218,9 @@ def parse_gold_file(text: str) -> list[GoldEntry]:
             raise GoldFileError(f"expected 2-4 tab-separated fields, got {len(fields)}", lineno)
         fields += [""] * (4 - len(fields))
         word, stem, prefix, suffix = fields
-        try:
-            entries.append(GoldEntry(word, stem, prefix or None, suffix or None))
-        except ValueError as exc:
-            raise GoldFileError(str(exc), lineno) from None
+        if not word or not stem:
+            raise GoldFileError("gold word and expected_stem must be non-empty", lineno)
+        entries.append(GoldEntry(word, stem, prefix or None, suffix or None))
     return entries
 
 

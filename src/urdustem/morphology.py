@@ -9,6 +9,7 @@ no rules for.
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from urdustem.corpus import data_lines, normalize
 from urdustem.evaluation import GoldEntry
@@ -61,8 +62,7 @@ class ParadigmEntry:
         return cls(lemma)
 
 
-@dataclass(frozen=True)
-class VerbRoot:
+class VerbRoot(NamedTuple):
     root: str
 
 

@@ -12,7 +12,8 @@ repeats share one :class:`StemResult`.
 """
 
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from urdustem import graphemes
 from urdustem.rules import RuleSet
@@ -51,9 +52,8 @@ class StemConfig:
 DEFAULT_CONFIG = StemConfig()
 
 
-@dataclass(frozen=True)
-class StemResult:
-    """The (prefix, stem, suffix) decomposition of one word.
+class StemResult(NamedTuple):
+    """The (prefix, stem, suffix) decomposition of one word, immutable.
 
     ``applied`` lists the fired rule ids in application order; it is empty
     for pass-through words and exception hits.
@@ -63,7 +63,7 @@ class StemResult:
     stem: str
     prefix: str | None = None
     suffix: str | None = None
-    applied: tuple[str, ...] = field(default_factory=tuple)
+    applied: tuple[str, ...] = ()
     exception_hit: bool = False
 
     @property

@@ -161,6 +161,31 @@ class TestStem:
         assert code == 2 and out == ""
         assert "invalid UTF-8 at byte 3" in err
 
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["tsv", "json"])
+    @pytest.mark.parametrize("text, lineno", [
+        ("بد\tنصیب\n", 1),
+        ("کتاب\n\nکتاب\rوں\n", 3),
+    ], ids=["tab", "cr"])
+    def test_pretokenized_word_with_tab_or_cr_exits_2(self, capsys, tmp_path, text, lineno, mode):
+        # Written out, the tab would add TSV fields and the CR would split
+        # the line for a universal-newline reader.
+        p = tmp_path / "words.txt"
+        p.write_bytes(text.encode("utf-8"))
+        code, out, err = run(
+            capsys, "stem", str(p), "--rules", data.path(data.TABLE2_RULES), "--pretokenized", *mode
+        )
+        assert code == 2 and out == ""
+        assert f"line {lineno}: tab or CR inside a word" in err
+
+    def test_pretokenized_crlf_and_edge_tabs_accepted(self, capsys, tmp_path):
+        p = tmp_path / "words.txt"
+        p.write_bytes("\tنوجوان\r\nنوجوان\t\r\n".encode("utf-8"))
+        code, out, _ = run(
+            capsys, "stem", str(p), "--rules", data.path(data.DEFAULT_RULES), "--pretokenized"
+        )
+        assert code == 0
+        assert out.splitlines() == ["نوجوان\tنو\tجوان\t"] * 2
+
     def test_missing_input_exits_2(self, capsys, tmp_path):
         code, out, err = run(
             capsys, "stem", str(tmp_path / "nope.txt"), "--rules", data.path(data.DEFAULT_RULES)

@@ -19,7 +19,7 @@ from urdustem.evaluation import (
     summarize,
 )
 from urdustem.graphemes import ZWNJ
-from urdustem.stemmer import StemResult
+from urdustem.stemmer import StemResult, stem_word
 
 from conftest import random_word
 
@@ -216,6 +216,11 @@ class TestEvaluate:
         with pytest.raises(EvalError, match="entry 1"):
             evaluate(results, gold)
 
+    def test_empty_gold_stem_names_index(self, default_rules):
+        # GoldEntry builds with an empty field; evaluate refuses to score it.
+        with pytest.raises(EvalError, match="entry 0"):
+            evaluate([stem_word("کتاب", default_rules)], [GoldEntry("کتاب", "")])
+
 
 class TestSummarize:
     def _report(self):
@@ -269,6 +274,7 @@ class TestGoldFile:
         assert parse_gold_file("# header\nقلم\tقلم\n")[0].word == "قلم"
 
     def test_malformed_line_carries_number(self):
-        with pytest.raises(GoldFileError) as exc_info:
-            parse_gold_file("قلم\tقلم\n\tbroken\n")
-        assert exc_info.value.line == 2
+        for text in ("قلم\tقلم\n\tbroken\n", "قلم\tقلم\nقلم\t\n"):
+            with pytest.raises(GoldFileError) as exc_info:
+                parse_gold_file(text)
+            assert exc_info.value.line == 2

@@ -1,0 +1,59 @@
+"""What CI checks, run offline: the workflow's console-script steps, and
+the oldest Python that ``requires-python`` admits."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+import yaml
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+CONSOLE_STEPS = [
+    step
+    for job in yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))["jobs"].values()
+    for step in job["steps"]
+    if step.get("name", "").startswith("Console script")
+]
+
+
+def test_console_script_steps_found():
+    assert len(CONSOLE_STEPS) >= 11
+
+
+@pytest.mark.parametrize("step", CONSOLE_STEPS, ids=[step["name"] for step in CONSOLE_STEPS])
+def test_console_script_step(step, tmp_path):
+    """The step's ``run:`` block passes with ``urdustem`` running this
+    checkout's source through a shim first on ``PATH``."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "urdustem"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m urdustem.cli "$@"\n')
+    shim.chmod(0o755)
+    env = {
+        **os.environ,
+        **step.get("env", {}),
+        "RUNNER_TEMP": str(tmp_path),
+        "PATH": f"{bin_dir}{os.pathsep}{os.environ['PATH']}",
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+    }
+    proc = subprocess.run(
+        ["bash", "-e", "-o", "pipefail", "-c", step["run"]],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "urdustem").glob("*.py")), ids=lambda path: path.name
+)
+def test_source_parses_as_python_3_10(path):
+    """Every module parses under Python 3.10's grammar.
+
+    This catches syntax newer than 3.10 (``except*``, say) on a newer
+    interpreter, but not calls to library functions newer than 3.10.
+    """
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
