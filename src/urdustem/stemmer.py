@@ -163,7 +163,7 @@ def stem_batch(words, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> list[Ste
     """Stem a sequence of words, order-preserving.
 
     Each distinct word is stemmed once and its repeats share that one
-    (frozen) result.  A per-word error is re-raised with the offending
+    (immutable) result.  A per-word error is re-raised with the offending
     index.
     """
     seen: dict[str, StemResult] = {}
