@@ -8,7 +8,7 @@ Modules:
 * ``morphology`` -- inflection generator for synthesizing gold corpora
 * ``corpus``     -- data-file line framing, Unicode normalization and tokenization
 * ``evaluation`` -- accuracy metric and over-/under-stemming error taxonomy
-* ``data``       -- shipped rule files, lexicon and letter-unification table
+* ``data``       -- shipped rule files and lexicon
 * ``cli``        -- command-line front end
 """
 

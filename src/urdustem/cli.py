@@ -26,6 +26,7 @@ from urdustem.stemmer import (
     StemConfig,
     StemError,
     StemResult,
+    shown_affix,
     stem_batch,
 )
 
@@ -93,12 +94,6 @@ def _stem_config(args) -> StemConfig:
         raise CliError(str(exc), EXIT_INPUT) from exc
 
 
-def _clean_field(text: str | None) -> str:
-    # Display form: separator whitespace captured by a pattern (e.g. a
-    # prefix ending in a space) is trimmed from TSV fields.
-    return (text or "").strip()
-
-
 def cmd_stem(args) -> int:
     rs = _load_rules(args.rules)
     cfg = _stem_config(args)
@@ -125,7 +120,7 @@ def cmd_stem(args) -> int:
         if args.json:
             lines[r.word] = _json_line(r)
         else:
-            fields = (r.word, _clean_field(r.prefix), r.stem, _clean_field(r.suffix))
+            fields = (r.word, shown_affix(r.prefix), r.stem, shown_affix(r.suffix))
             lines[r.word] = "\t".join(fields) + "\n"
     sys.stdout.write("".join([lines[r.word] for r in results]))
     return EXIT_OK

@@ -2,14 +2,13 @@
 
 Normalization brings text into the same space the rule files live in:
 NFC, optionally stripped of Arabic-script diacritics (the harakat
-classes), with Arabic presentation letters unified to their Urdu
-counterparts per the mapping table shipped in ``data/unify_map.tsv``.
+classes), with Arabic letters unified to their Urdu counterparts per
+``_UNIFY``.
 """
 
 import re
 import unicodedata
 from collections.abc import Iterator
-from importlib import resources
 from itertools import dropwhile, groupby
 
 from urdustem.graphemes import extends_cluster
@@ -23,34 +22,15 @@ _DIACRITICS = re.compile(
 )
 
 
-def data_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Yield ``(lineno, line)`` for each non-blank line of a data file.
-
-    The framing every data file shares (rule, gold, lexicon and the letter
-    unification table): a leading UTF-8 byte-order mark is dropped, the
-    text is NFC-normalized, lines are split on LF with trailing CRs
-    stripped, and whitespace-only lines are skipped.  Line numbers count
-    every line from 1.
-    """
-    text = unicodedata.normalize("NFC", text.removeprefix("\ufeff"))
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.rstrip("\r")
-        if line.strip():
-            yield lineno, line
-
-
-def _load_unify_map() -> dict[str, str]:
-    table: dict[str, str] = {}
-    text = resources.files("urdustem").joinpath("data/unify_map.tsv").read_text("utf-8")
-    for _, line in data_lines(text):
-        if line.startswith("#"):
-            continue
-        src, dst = line.split("\t")[:2]
-        table[src] = dst
-    return table
-
-
-_UNIFY = _load_unify_map()
+# Arabic letter -> the Urdu letter that normalize writes for it.
+_UNIFY = {
+    "\u064a": "\u06cc",  # ARABIC LETTER YEH -> ARABIC LETTER FARSI YEH
+    "\u0649": "\u06cc",  # ARABIC LETTER ALEF MAKSURA -> ARABIC LETTER FARSI YEH
+    "\u0643": "\u06a9",  # ARABIC LETTER KAF -> ARABIC LETTER KEHEH
+    "\u0647": "\u06c1",  # ARABIC LETTER HEH -> ARABIC LETTER HEH GOAL
+    "\u0629": "\u06c1",  # ARABIC LETTER TEH MARBUTA -> ARABIC LETTER HEH GOAL
+    "\u06c3": "\u06c1",  # ARABIC LETTER TEH MARBUTA GOAL -> ARABIC LETTER HEH GOAL
+}
 _UNIFIABLE = re.compile("[" + re.escape("".join(_UNIFY)) + "]")
 
 
@@ -67,6 +47,22 @@ def normalize(text: str, strip_diacritics: bool = True) -> str:
         text = _DIACRITICS.sub("", text)
     text = _UNIFIABLE.sub(lambda m: _UNIFY[m[0]], text)
     return unicodedata.normalize("NFC", text)
+
+
+def data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(lineno, line)`` for each non-blank line of a data file.
+
+    The framing every data file shares (rule, gold and lexicon): a leading
+    UTF-8 byte-order mark is dropped, letters are unified as ``stem``
+    unifies them, marks kept (``normalize(text, strip_diacritics=False)``),
+    lines are split on LF with trailing CRs stripped, and whitespace-only
+    lines are skipped.  Line numbers count every line from 1.
+    """
+    text = normalize(text.removeprefix("\ufeff"), strip_diacritics=False)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.rstrip("\r")
+        if line.strip():
+            yield lineno, line
 
 
 class _ChunkWords(dict):

@@ -13,8 +13,8 @@
   same stem convention as ``default.rules``.
 * ``lexicon_group1.tsv`` -- alif-final masculine noun lemmas for
   round-trip testing.
-* ``unify_map.tsv`` -- Arabic-to-Urdu letter unification table used by
-  ``urdustem.corpus.normalize``.
+
+The letter-unification table lives in code, ``urdustem.corpus._UNIFY``.
 """
 
 from importlib import resources

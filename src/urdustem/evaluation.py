@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from urdustem import graphemes
-from urdustem.corpus import data_lines, normalize
-from urdustem.stemmer import StemResult
+from urdustem.corpus import data_lines
+from urdustem.stemmer import StemResult, shown_affix
 
 
 class GoldFileError(ValueError):
@@ -63,11 +63,13 @@ class EvalReport(NamedTuple):
 
 
 def _is_correct(result: StemResult, gold: GoldEntry, stem_only: bool) -> bool:
+    """Stems compare as they are; affixes as ``stem`` prints them."""
     if result.stem != gold.expected_stem:
         return False
     if stem_only:
         return True
-    return result.prefix == gold.expected_prefix and result.suffix == gold.expected_suffix
+    return (shown_affix(result.prefix) == shown_affix(gold.expected_prefix)
+            and shown_affix(result.suffix) == shown_affix(gold.expected_suffix))
 
 
 def _proper_subsequence(needle: list[str], haystack: list[str]) -> bool:
@@ -206,11 +208,13 @@ def parse_gold_file(text: str) -> list[GoldEntry]:
     """Parse a gold-corpus TSV: ``word  stem  [prefix]  [suffix]``.
 
     Empty affix fields mean "no affix expected".  ``#`` starts a comment.
-    Letters are unified as ``stem`` unifies them (marks are kept), then
-    lines are framed by :func:`urdustem.corpus.data_lines`.
+    Lines are framed by :func:`urdustem.corpus.data_lines`, which unifies
+    letters as ``stem`` does, marks kept; a CR inside a line is rejected.
     """
     entries: list[GoldEntry] = []
-    for lineno, line in data_lines(normalize(text, strip_diacritics=False)):
+    for lineno, line in data_lines(text):
+        if "\r" in line:
+            raise GoldFileError("CR inside a line", lineno)
         if line.startswith("#"):
             continue
         fields = line.split("\t")

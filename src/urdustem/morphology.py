@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from urdustem.corpus import data_lines, normalize
+from urdustem.corpus import data_lines
 from urdustem.evaluation import GoldEntry
 
 ALIF = "ا"
@@ -148,12 +148,14 @@ def generate_gold(lexicon) -> list[GoldEntry]:
 def parse_lexicon_file(text: str):
     """Parse a lexicon TSV: lines of ``noun|verb|adj <TAB> lemma``.
 
-    Letters are unified as ``stem`` unifies them (marks are kept), then
-    lines are framed by :func:`urdustem.corpus.data_lines` and trimmed, as
-    rule and gold lines are; ``#`` starts a comment.
+    Lines are framed by :func:`urdustem.corpus.data_lines`, as rule and
+    gold lines are, then trimmed; ``#`` starts a comment, and a CR inside
+    a line is rejected.
     """
     items = []
-    for lineno, line in data_lines(normalize(text, strip_diacritics=False)):
+    for lineno, line in data_lines(text):
+        if "\r" in line:
+            raise ParadigmError(f"line {lineno}: CR inside a line")
         line = line.strip()
         if line.startswith("#"):
             continue

@@ -18,10 +18,10 @@ the directives::
     #!default-min-stem <TAB> n    min_stem used by rules that omit it
 
 Fields are not trimmed: a pattern may legitimately end in a space
-(e.g. a prefix that consumes the following separator).  Letters are
-unified as ``stem`` unifies them (marks are kept), then lines are framed
-(BOM, NFC, CRLF) by :func:`urdustem.corpus.data_lines`, as gold and
-lexicon lines are.
+(e.g. a prefix that consumes the following separator).  Lines are framed
+by :func:`urdustem.corpus.data_lines`, as gold and lexicon lines are: BOM,
+CRLF, and letters unified as ``stem`` unifies them, marks kept.  A CR
+inside a line is rejected.
 
 Rules that could never fire are rejected: a suffix pattern starting
 with a combining mark or joiner (which belongs to the preceding
@@ -164,7 +164,9 @@ def parse_rule_file(text: str) -> RuleSet:
     exceptions: set[str] = set()
     default_min_stem = DEFAULT_MIN_STEM
 
-    for lineno, line in data_lines(normalize(text, strip_diacritics=False)):
+    for lineno, line in data_lines(text):
+        if "\r" in line:
+            raise RuleParseError("CR inside a line", lineno)
         if line.startswith("#!"):
             fields = line.split("\t")
             directive = fields[0]

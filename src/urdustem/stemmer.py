@@ -71,6 +71,11 @@ class StemResult(NamedTuple):
         return self.prefix is None and self.suffix is None and not self.exception_hit
 
 
+def shown_affix(affix: str | None) -> str:
+    """An affix as ``stem`` prints and ``eval`` compares it: ends trimmed, ``""`` for none."""
+    return (affix or "").strip()
+
+
 def _scan(word: str, n: int, buckets, suffix: bool):
     """Longest legal rule in *buckets* for *word* of *n* clusters, or None.
 

@@ -4,7 +4,8 @@ Works on raw code points (test alphabets contain no combining marks, so
 code points and graphemes coincide) and re-derives the scan order itself:
 try every rule of the active kind in descending pattern length, source
 order on ties, and apply the first one that matches at the word edge and
-leaves a long enough residual.
+leaves a long enough residual.  :class:`ClusterCodes` recodes words with
+marks and joiners so that the same oracle applies to them.
 """
 
 from dataclasses import dataclass
@@ -16,6 +17,33 @@ class NaiveRule:
     pattern: str
     replacement: str = ""
     min_stem: int | None = None
+
+
+class ClusterCodes:
+    """Maps each grapheme cluster, as *split* cuts text, to one private-use
+    code point, the same one every time, so that :func:`naive_stem`, which
+    counts code points, applies to words with marks and joiners.
+
+    ``codes(text)`` maps a text (``None`` stays ``None``); ``codes.rules``
+    maps engine rules (anything with ``kind.value``, ``pattern``,
+    ``replacement`` and ``min_stem``) to :class:`NaiveRule`.
+    """
+
+    def __init__(self, split):
+        self.split = split
+        self.code_points: dict[str, str] = {}
+
+    def __call__(self, text):
+        if text is None:
+            return None
+        code_points = self.code_points
+        return "".join(
+            code_points.setdefault(c, chr(0xE000 + len(code_points))) for c in self.split(text)
+        )
+
+    def rules(self, rules) -> list[NaiveRule]:
+        return [NaiveRule(r.kind.value, self(r.pattern), self(r.replacement), r.min_stem)
+                for r in rules]
 
 
 def naive_stem(

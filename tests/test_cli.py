@@ -222,6 +222,42 @@ class TestEval:
         assert code == 0
         assert "\ncorrect\t1\n" in out and "\nunder_stemming\t0\n" in out
 
+    def test_prefix_scored_as_stem_prints_it(self, capsys, tmp_path):
+        # default.rules detaches the prefix "بد " with its space; stem
+        # prints it trimmed, and a gold line that says so is correct.
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("بد نصیب\tنصیب\tبد\t\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys, "eval", "--rules", data.path(data.DEFAULT_RULES), "--gold", str(gold)
+        )
+        assert code == 0
+        assert "\ncorrect\t1\n" in out and "\nother_errors\t0\n" in out
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        word=st.builds(
+            lambda *parts: "".join(parts).strip(),
+            st.sampled_from(["", "بد ", "بد", "نو", "لا"]),
+            st.text(alphabet=URDU_LETTERS + " ", min_size=1, max_size=6),
+            st.sampled_from(["", "وں", "ات", "یاں", "ے", "ی"]),
+        ).filter(bool),
+        rules=st.sampled_from([data.DEFAULT_RULES, data.TABLE2_RULES]),
+    )
+    def test_printed_fields_as_gold_score_correct(self, contract_dir, word, rules):
+        # What stem --pretokenized prints for a mark-free word, written in
+        # gold column order (word, stem, prefix, suffix), is correct.
+        text, gold = contract_dir / "word.txt", contract_dir / "printed.tsv"
+        text.write_text(word + "\n", encoding="utf-8")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["stem", str(text), "--pretokenized", "--rules", data.path(rules)]) == 0
+        printed, prefix, stem, suffix = out.getvalue().removesuffix("\n").split("\t")
+        gold.write_text("\t".join((printed, stem, prefix, suffix)) + "\n", encoding="utf-8")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["eval", "--rules", data.path(rules), "--gold", str(gold)]) == 0
+        assert "\ncorrect\t1\n" in out.getvalue()
+
     def test_corrupted_gold_line_exits_2(self, capsys, tmp_path):
         gold = tmp_path / "gold.tsv"
         gold.write_text("قلم\tقلم\n\tbroken\n", encoding="utf-8")

@@ -54,12 +54,14 @@ _OLD_DIACRITIC_RANGES = (
     (0x06E7, 0x06E8),
     (0x06EA, 0x06ED),
 )
+# The letter table, written out independently of ``corpus._UNIFY``.
 _OLD_UNIFY = {
-    ord(src): dst
-    for src, dst, *_ in (
-        line.split("\t") for _, line in data_lines(data.read_text("unify_map.tsv"))
-        if not line.startswith("#")
-    )
+    0x064A: "\u06cc",  # ARABIC LETTER YEH -> FARSI YEH
+    0x0649: "\u06cc",  # ARABIC LETTER ALEF MAKSURA -> FARSI YEH
+    0x0643: "\u06a9",  # ARABIC LETTER KAF -> KEHEH
+    0x0647: "\u06c1",  # ARABIC LETTER HEH -> HEH GOAL
+    0x0629: "\u06c1",  # ARABIC LETTER TEH MARBUTA -> HEH GOAL
+    0x06C3: "\u06c1",  # ARABIC LETTER TEH MARBUTA GOAL -> HEH GOAL
 }
 _OLD_STRIP_AND_UNIFY = {
     **_OLD_UNIFY,
@@ -146,6 +148,13 @@ class TestNormalize:
     def test_final_nfc_pass_cases(self):
         assert normalize("\u0647\u0654", strip_diacritics=False) == "\u06c2"
         assert normalize("e\u0640\u0301") == "\u00e9"
+
+
+def test_data_lines_frames_and_unifies_letters():
+    # BOM, CRLF and blank lines are framing; Arabic kaf and yeh read as the
+    # Urdu letters, the fatha stays, and a CR inside a line is left as is.
+    text = "\ufeffكتاب\r\n \t\n\nيَ\r\r\na\rb\n"
+    assert list(data_lines(text)) == [(1, "کتاب"), (4, "یَ"), (5, "a\rb")]
 
 
 class TestTokenize:

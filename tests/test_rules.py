@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from urdustem import graphemes
 from urdustem.evaluation import GoldEntry, GoldFileError, parse_gold_file
 from urdustem.graphemes import ZWJ, ZWNJ
-from urdustem.morphology import ParadigmEntry, parse_lexicon_file
+from urdustem.morphology import ParadigmEntry, ParadigmError, parse_lexicon_file
 from urdustem.rules import (
     DEFAULT_MIN_STEM,
     AffixKind,
@@ -345,16 +345,41 @@ _FIELD_COUNT = "line 1: expected 2-4 tab-separated fields, got 1"
     (parse_lexicon_file, "  noun\tہتھوڑا  \n", _HAMMER),
     (parse_gold_file, " کتاب\tکتاب \n", [GoldEntry(" کتاب", "کتاب ")]),
     (parse_rule_file, " S\tوں\n", (RuleParseError, "line 1: kind must be P or S, got ' S'")),
+    (parse_rule_file, "S\tو\rں\r\n", (RuleParseError, "line 1: CR inside a line")),
+    (parse_gold_file, "کتاب\tکتاب\nلڑ\rکا\tلڑکا\n", (GoldFileError, "line 2: CR inside a line")),
+    (parse_lexicon_file, "noun\tلڑ\rکا\n", (ParadigmError, "line 1: CR inside a line")),
 ], ids=[
     "rules-blank", "gold-blank", "lexicon-blank",
     "rules-indented-hash", "gold-indented-hash", "lexicon-indented-comment",
     "lexicon-padded", "gold-keeps-spaces", "rules-keeps-spaces",
+    "rules-lone-cr", "gold-lone-cr", "lexicon-lone-cr",
 ])
 def test_framing_then_per_format_line_rules(parse, text, expected):
-    # Shared framing: blank and whitespace-only lines are skipped.  What
-    # follows is each format's own: only the lexicon trims its lines, so
-    # only there is an indented "#" a comment.
+    # Shared framing: blank and whitespace-only lines are skipped, and
+    # trailing CRs are line endings.  What follows is each format's own:
+    # only the lexicon trims its lines, so only there is an indented "#" a
+    # comment; each reader rejects a CR left inside a line with its own
+    # error type.
     assert _outcome(parse, text) == expected
+
+
+# Fields that reading changes or rejects: Arabic yeh, kaf and heh, which
+# it unifies, heh + hamza above, which NFC composes, and a lone CR.
+_READ_CHANGES = ["وں", "ے", "بد ", "قلم", "يں", "كا", "ہ\u0654", "اَ", "و\rں"]
+_RULE_LINES = (
+    st.builds(lambda kind, pattern, rest: "\t".join([kind, pattern, *rest]),
+              st.sampled_from("SP"), st.sampled_from(_READ_CHANGES),
+              st.lists(st.sampled_from(["", "ی", "ه", "3", "\r"]), max_size=2))
+    | st.sampled_from(_READ_CHANGES).map("#!exception\t".__add__)
+    | st.sampled_from(["#!default-min-stem\t3", "# \r", ""])
+)
+
+
+@given(st.lists(_RULE_LINES, max_size=4).map("\n".join))
+def test_accepted_rule_text_serializes_and_reads_back_equal(text):
+    rs = _outcome(parse_rule_file, text)
+    if isinstance(rs, RuleSet):
+        assert parse_rule_file(serialize_rule_set(rs)) == rs
 
 
 class TestSerialize:

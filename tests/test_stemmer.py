@@ -19,7 +19,7 @@ from urdustem.stemmer import (
 )
 
 from conftest import URDU_LETTERS, random_ruleset, random_word
-from naive_oracle import NaiveRule, naive_stem
+from naive_oracle import ClusterCodes, naive_stem
 
 S = AffixKind.SUFFIX
 P = AffixKind.PREFIX
@@ -372,20 +372,8 @@ class TestMarkedWordsAgainstOracle:
         for text in words + [r.pattern for r in rs.rules]:
             assert graphemes.split(text) == regex.findall(r"\X", text)
 
-        code_points: dict[str, str] = {}
-
-        def mapped(text):
-            if text is None:
-                return None
-            return "".join(
-                code_points.setdefault(c, chr(0xE000 + len(code_points)))
-                for c in graphemes.split(text)
-            )
-
-        naive_rules = [
-            NaiveRule(r.kind.value, mapped(r.pattern), mapped(r.replacement), r.min_stem)
-            for r in rs.rules
-        ]
+        mapped = ClusterCodes(graphemes.split)
+        naive_rules = mapped.rules(rs.rules)
         cfg = StemConfig(suffix_passes, prefix_passes, order)
         for word in words:
             got = stem_word(word, rs, cfg)

@@ -1,5 +1,5 @@
-"""What CI checks, run offline: the workflow's console-script steps, and
-the oldest Python that ``requires-python`` admits."""
+"""What CI checks, run offline: the workflow's console-script steps, the
+oldest Python that ``requires-python`` admits, and what start-up imports."""
 
 import ast
 import os
@@ -21,7 +21,7 @@ CONSOLE_STEPS = [
 
 
 def test_console_script_steps_found():
-    assert len(CONSOLE_STEPS) >= 11
+    assert len(CONSOLE_STEPS) >= 12
 
 
 @pytest.mark.parametrize("step", CONSOLE_STEPS, ids=[step["name"] for step in CONSOLE_STEPS])
@@ -57,3 +57,13 @@ def test_source_parses_as_python_3_10(path):
     interpreter, but not calls to library functions newer than 3.10.
     """
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_cli_start_up_skips_importlib_resources():
+    """``import urdustem.cli`` under ``python -S``, with no ``site`` hooks to
+    load it first, does not import ``importlib.resources``: the letter
+    table is code, and only ``urdustem.data`` reads shipped files."""
+    code = "import sys, urdustem.cli; assert 'importlib.resources' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
