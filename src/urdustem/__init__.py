@@ -8,6 +8,7 @@ Modules:
 * ``morphology`` -- inflection generator for synthesizing gold corpora
 * ``corpus``     -- data-file line framing, Unicode normalization and tokenization
 * ``evaluation`` -- accuracy metric and over-/under-stemming error taxonomy
+* ``record``     -- base of the frozen classes that validate on construction
 * ``data``       -- shipped rule files and lexicon
 * ``cli``        -- command-line front end
 """

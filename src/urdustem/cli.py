@@ -10,15 +10,16 @@ Subcommands::
 Exit codes: 0 success, 1 validation failure (bad rule file), 2
 input/alignment error.  Output is buffered and written in one piece, so
 error paths never leave partial lines behind.
+
+Start-up imports only what ``stem`` needs: ``eval`` and ``gen`` import
+``evaluation`` and ``morphology`` when they run, and ``stem --json``
+imports its string escaper from ``json.encoder``.
 """
 
 import argparse
 import sys
-from json.encoder import encode_basestring
 
-from urdustem import corpus, evaluation, morphology
-from urdustem.evaluation import EvalError, GoldFileError
-from urdustem.morphology import ParadigmError
+from urdustem import corpus
 from urdustem.rules import RuleParseError, RuleSet, _rule_fields, parse_rule_file
 from urdustem.stemmer import (
     PREFIX_FIRST,
@@ -34,13 +35,14 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
 
-# A --json line has a fixed schema.  encode_basestring is the escaper that
-# JSONEncoder(ensure_ascii=False) applies to strings, so the bytes match it.
+# A --json line has a fixed schema.  Its strings go through *q*,
+# json.encoder.encode_basestring (cmd_stem imports it only for --json), the
+# escaper that JSONEncoder(ensure_ascii=False) applies to strings, so the
+# bytes match it.
 _JSON_LINE = '{"word": %s, "prefix": %s, "stem": %s, "suffix": %s, "applied": [%s], "exception": %s}\n'
 
 
-def _json_line(r: StemResult) -> str:
-    q = encode_basestring
+def _json_line(r: StemResult, q) -> str:
     return _JSON_LINE % (q(r.word), "null" if r.prefix is None else q(r.prefix), q(r.stem),
                          "null" if r.suffix is None else q(r.suffix),
                          ", ".join(map(q, r.applied)), "true" if r.exception_hit else "false")
@@ -111,6 +113,8 @@ def cmd_stem(args) -> int:
     except StemError as exc:
         raise CliError(str(exc), EXIT_INPUT) from exc
 
+    if args.json:
+        from json.encoder import encode_basestring
     # Repeats of a word share one result, so each distinct word's line is
     # rendered once.
     lines: dict[str, str] = {}
@@ -118,7 +122,7 @@ def cmd_stem(args) -> int:
         if r.word in lines:
             continue
         if args.json:
-            lines[r.word] = _json_line(r)
+            lines[r.word] = _json_line(r, encode_basestring)
         else:
             fields = (r.word, shown_affix(r.prefix), r.stem, shown_affix(r.suffix))
             lines[r.word] = "\t".join(fields) + "\n"
@@ -127,16 +131,18 @@ def cmd_stem(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from urdustem import evaluation
+
     rs = _load_rules(args.rules)
     cfg = _stem_config(args)
     try:
-        gold = evaluation.parse_gold_file(_read_input(args.gold))
-    except GoldFileError as exc:
+        gold = evaluation.parse_gold_file(_read_input(args.gold), args.strip_diacritics)
+    except evaluation.GoldFileError as exc:
         raise CliError(f"{args.gold}: {exc}", EXIT_INPUT) from exc
     try:
         results = stem_batch([g.word for g in gold], rs, cfg)
         report = evaluation.evaluate(results, gold, stem_only=args.stem_only)
-    except (StemError, EvalError) as exc:
+    except (StemError, evaluation.EvalError) as exc:
         raise CliError(str(exc), EXIT_INPUT) from exc
 
     if args.json:
@@ -161,10 +167,12 @@ def cmd_rules(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from urdustem import evaluation, morphology
+
     try:
         lexicon = morphology.parse_lexicon_file(_read_input(args.lexicon))
         gold = morphology.generate_gold(lexicon)
-    except ParadigmError as exc:
+    except morphology.ParadigmError as exc:
         raise CliError(f"{args.lexicon}: {exc}", EXIT_INPUT) from exc
     out = []
     if any(isinstance(item, morphology.VerbRoot) for item in lexicon):
@@ -175,6 +183,8 @@ def cmd_gen(args) -> int:
 
 
 def _add_stem_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--strip-diacritics", type=_parse_bool, nargs="?", const=True, default=True,
+                   metavar="BOOL")
     p.add_argument("--suffix-passes", type=int, default=1, metavar="N")
     p.add_argument("--prefix-passes", type=int, default=1, metavar="N")
     p.add_argument("--order", choices=(SUFFIX_FIRST, PREFIX_FIRST), default=SUFFIX_FIRST)
@@ -187,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stem", help="stem text and print word/prefix/stem/suffix TSV")
     p.add_argument("input", nargs="?", default="-", help="input text file, or - for stdin")
     p.add_argument("--rules", required=True, metavar="PATH")
-    p.add_argument("--strip-diacritics", type=_parse_bool, nargs="?", const=True, default=True,
-                   metavar="BOOL")
     p.add_argument("--pretokenized", action="store_true",
                    help="treat each input line as one word token (no tokenization)")
     p.add_argument("--json", action="store_true")

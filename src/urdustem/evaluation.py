@@ -204,15 +204,17 @@ def report_json(report: EvalReport) -> str:
     return json.dumps(_rendered(report)) + "\n"
 
 
-def parse_gold_file(text: str) -> list[GoldEntry]:
+def parse_gold_file(text: str, strip_diacritics: bool = False) -> list[GoldEntry]:
     """Parse a gold-corpus TSV: ``word  stem  [prefix]  [suffix]``.
 
     Empty affix fields mean "no affix expected".  ``#`` starts a comment.
     Lines are framed by :func:`urdustem.corpus.data_lines`, which unifies
-    letters as ``stem`` does, marks kept; a CR inside a line is rejected.
+    letters as ``stem`` does, and strips harakat from every field when
+    *strip_diacritics* is set, as ``stem`` does by default (``eval``
+    passes its ``--strip-diacritics``); a CR inside a line is rejected.
     """
     entries: list[GoldEntry] = []
-    for lineno, line in data_lines(text):
+    for lineno, line in data_lines(text, strip_diacritics):
         if "\r" in line:
             raise GoldFileError("CR inside a line", lineno)
         if line.startswith("#"):

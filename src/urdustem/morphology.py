@@ -7,12 +7,12 @@ gender/case agreement.  Lemmas outside these paradigms raise
 no rules for.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 from urdustem.corpus import data_lines
 from urdustem.evaluation import GoldEntry
+from urdustem.record import Record
 
 ALIF = "ا"
 CHOTI_HE = "ہ"
@@ -43,18 +43,18 @@ class Number(Enum):
     PLURAL = "plural"
 
 
-@dataclass(frozen=True)
-class ParadigmEntry:
+class ParadigmEntry(Record):
     """A group-1 masculine noun lemma (singular nominative) ending in alif, he or ain."""
 
-    lemma: str
+    __slots__ = _fields = ("lemma",)
 
-    def __post_init__(self) -> None:
-        if not self.lemma.endswith((ALIF, CHOTI_HE, AIN)):
+    def __init__(self, lemma: str) -> None:
+        if not lemma.endswith((ALIF, CHOTI_HE, AIN)):
             raise ParadigmError(
-                f"no paradigm specified for lemma {self.lemma!r} "
+                f"no paradigm specified for lemma {lemma!r} "
                 f"(must end in {ALIF}, {CHOTI_HE} or {AIN})"
             )
+        self._set(lemma=lemma)
 
     @classmethod
     def from_lemma(cls, lemma: str) -> "ParadigmEntry":
@@ -66,14 +66,14 @@ class VerbRoot(NamedTuple):
     root: str
 
 
-@dataclass(frozen=True)
-class Adjective:
+class Adjective(Record):
     """An adjective lemma ending in alif (masculine direct form)."""
 
-    lemma: str
+    __slots__ = _fields = ("lemma",)
 
-    def __post_init__(self) -> None:
-        inflect_adjective(self.lemma)  # raises ParadigmError unless alif-final
+    def __init__(self, lemma: str) -> None:
+        inflect_adjective(lemma)  # raises ParadigmError unless alif-final
+        self._set(lemma=lemma)
 
 
 # Case ending per (number, case); None = lemma unchanged.
@@ -150,7 +150,8 @@ def parse_lexicon_file(text: str):
 
     Lines are framed by :func:`urdustem.corpus.data_lines`, as rule and
     gold lines are, then trimmed; ``#`` starts a comment, and a CR inside
-    a line is rejected.
+    a line is rejected.  So is a lemma that starts with ``#``: its gold
+    lines would read as comments.
     """
     items = []
     for lineno, line in data_lines(text):
@@ -163,6 +164,9 @@ def parse_lexicon_file(text: str):
         if len(fields) != 2 or not fields[1]:
             raise ParadigmError(f"line {lineno}: expected 'category<TAB>lemma'")
         category, lemma = fields
+        if lemma.startswith("#"):
+            raise ParadigmError(f"line {lineno}: lemma {lemma!r} starts with '#', "
+                                "which a gold file reads as a comment")
         try:
             if category == "noun":
                 items.append(ParadigmEntry(lemma))

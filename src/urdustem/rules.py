@@ -29,12 +29,11 @@ grapheme cluster), and a non-NFC pattern, replacement or exception word.
 """
 
 import unicodedata
-from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 from urdustem import graphemes
 from urdustem.corpus import data_lines, normalize
+from urdustem.record import Record
 
 DEFAULT_MIN_STEM = 2
 
@@ -53,50 +52,45 @@ class AffixKind(Enum):
     SUFFIX = "S"
 
 
-@dataclass(frozen=True)
-class AffixRule:
+class AffixRule(Record):
     """One prefix/suffix pattern with optional recoding replacement.
 
     ``min_stem`` of ``None`` defers to the owning rule set's default.
+    ``rule_id`` and ``pattern_length`` are stored when the rule is built,
+    since the stemmer reads them on every match.
     """
 
-    kind: AffixKind
-    pattern: str
-    replacement: str = ""
-    min_stem: int | None = None
+    __slots__ = ("kind", "pattern", "replacement", "min_stem", "rule_id", "pattern_length")
+    _fields = __slots__[:4]
 
-    def __post_init__(self) -> None:
-        if self.pattern_length < 1:
+    def __init__(
+        self, kind: AffixKind, pattern: str, replacement: str = "", min_stem: int | None = None
+    ) -> None:
+        if not isinstance(kind, AffixKind):
+            raise ValueError(f"kind must be an AffixKind, got {kind!r}")
+        pattern_length = graphemes.count(pattern)
+        if pattern_length < 1:
             raise ValueError("affix pattern must have at least one grapheme")
-        for name, text in (("pattern", self.pattern), ("replacement", self.replacement)):
+        for name, text in (("pattern", pattern), ("replacement", replacement)):
             if not unicodedata.is_normalized("NFC", text):
                 raise ValueError(f"{name} {text!r} is not NFC")
-        if self.kind is AffixKind.SUFFIX and graphemes.extends_cluster(self.pattern[0]):
+        if kind is AffixKind.SUFFIX and graphemes.extends_cluster(pattern[0]):
             # Such a suffix could only match a whole word, leaving no stem.
-            raise ValueError(
-                f"suffix pattern {self.pattern!r} starts with a combining mark or joiner"
-            )
-        if graphemes.count(self.replacement) > self.pattern_length:
+            raise ValueError(f"suffix pattern {pattern!r} starts with a combining mark or joiner")
+        if graphemes.count(replacement) > pattern_length:
             raise ValueError(
                 "replacement must not be longer than the pattern "
-                f"({self.replacement!r} vs {self.pattern!r})"
+                f"({replacement!r} vs {pattern!r})"
             )
-        if self.replacement == self.pattern:
-            raise ValueError(f"replacement must differ from the pattern ({self.pattern!r})")
-        if self.min_stem is not None and self.min_stem < 1:
+        if replacement == pattern:
+            raise ValueError(f"replacement must differ from the pattern ({pattern!r})")
+        if min_stem is not None and min_stem < 1:
             raise ValueError("min_stem must be positive")
-
-    @cached_property
-    def rule_id(self) -> str:
-        return f"{self.kind.value}:{self.pattern}"
-
-    @cached_property
-    def pattern_length(self) -> int:
-        return graphemes.count(self.pattern)
+        self._set(kind=kind, pattern=pattern, replacement=replacement, min_stem=min_stem,
+                  rule_id=f"{kind.value}:{pattern}", pattern_length=pattern_length)
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(Record):
     """Rule collection plus exception words; immutable.
 
     Rules are kept sorted by pattern grapheme length, descending, ties in
@@ -109,29 +103,31 @@ class RuleSet:
     the rule to fire.  Building it rejects a duplicate ``(kind, pattern)``.
     """
 
-    rules: tuple[AffixRule, ...]
-    exceptions: frozenset[str] = field(default_factory=frozenset)
-    default_min_stem: int = DEFAULT_MIN_STEM
+    __slots__ = ("rules", "exceptions", "default_min_stem", "buckets")
+    _fields = __slots__[:3]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", tuple(order_rules(self.rules)))
-        object.__setattr__(self, "exceptions", frozenset(self.exceptions))
-        if self.default_min_stem < 1:
+    def __init__(
+        self, rules, exceptions=frozenset(), default_min_stem: int = DEFAULT_MIN_STEM
+    ) -> None:
+        rules = tuple(order_rules(rules))
+        exceptions = frozenset(exceptions)
+        if default_min_stem < 1:
             raise ValueError("default_min_stem must be positive")
-        if any(not w for w in self.exceptions):
+        if any(not w for w in exceptions):
             raise ValueError("exception words must be non-empty")
-        for word in self.exceptions:
+        for word in exceptions:
             if not unicodedata.is_normalized("NFC", word):
                 raise ValueError(f"exception word {word!r} is not NFC")
+        self._set(rules=rules, exceptions=exceptions, default_min_stem=default_min_stem)
         buckets: dict[bool, dict[str, dict[int, dict]]] = {True: {}, False: {}}
-        for rule in sorted(self.rules, key=lambda r: -len(r.pattern)):
+        for rule in sorted(rules, key=lambda r: -len(r.pattern)):
             suffix = rule.kind is AffixKind.SUFFIX
             by_length = buckets[suffix].setdefault(rule.pattern[-1 if suffix else 0], {})
             bucket = by_length.setdefault(len(rule.pattern), {})
             if rule.pattern in bucket:
                 raise ValueError(f"duplicate rule {rule.rule_id}")
             bucket[rule.pattern] = (rule, rule.pattern_length + self.effective_min_stem(rule))
-        object.__setattr__(self, "buckets", {
+        self._set(buckets={
             suffix: {edge: tuple(b.items()) for edge, b in by_edge.items()}
             for suffix, by_edge in buckets.items()
         })

@@ -12,10 +12,10 @@ repeats share one :class:`StemResult`.
 """
 
 import unicodedata
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from urdustem import graphemes
+from urdustem.record import Record
 from urdustem.rules import RuleSet
 
 MAX_PASSES = 4
@@ -28,8 +28,7 @@ class StemError(ValueError):
     """Invalid stemmer input (empty or non-NFC word)."""
 
 
-@dataclass(frozen=True)
-class StemConfig:
+class StemConfig(Record):
     """How many affixes may be detached, and in which order.
 
     The defaults (one suffix, then one prefix) reproduce the behaviour of
@@ -37,16 +36,18 @@ class StemConfig:
     prefix and a suffix shed both.
     """
 
-    max_suffix_passes: int = 1
-    max_prefix_passes: int = 1
-    order: str = SUFFIX_FIRST
+    __slots__ = _fields = ("max_suffix_passes", "max_prefix_passes", "order")
 
-    def __post_init__(self) -> None:
-        for n in (self.max_suffix_passes, self.max_prefix_passes):
+    def __init__(
+        self, max_suffix_passes: int = 1, max_prefix_passes: int = 1, order: str = SUFFIX_FIRST
+    ) -> None:
+        for n in (max_suffix_passes, max_prefix_passes):
             if n < 0 or n > MAX_PASSES:
                 raise ValueError(f"passes must be in 0..{MAX_PASSES}, got {n}")
-        if self.order not in (SUFFIX_FIRST, PREFIX_FIRST):
+        if order not in (SUFFIX_FIRST, PREFIX_FIRST):
             raise ValueError(f"order must be {SUFFIX_FIRST!r} or {PREFIX_FIRST!r}")
+        self._set(max_suffix_passes=max_suffix_passes, max_prefix_passes=max_prefix_passes,
+                  order=order)
 
 
 DEFAULT_CONFIG = StemConfig()

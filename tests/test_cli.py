@@ -1,12 +1,14 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from json.encoder import encode_basestring
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from urdustem import data
 from urdustem.cli import _json_line, main
+from urdustem.corpus import normalize
 from urdustem.graphemes import ZWNJ
 from urdustem.stemmer import StemResult, stem_batch
 
@@ -128,7 +130,7 @@ class TestStem:
             {"word": word, "prefix": prefix, "stem": stem, "suffix": suffix,
              "applied": list(applied), "exception": exception}
         )
-        assert _json_line(r) == expected + "\n"
+        assert _json_line(r, encode_basestring) == expected + "\n"
 
     def test_rule_with_arabic_letters_fires(self, capsys, tmp_path):
         # Input and rule file are unified alike, so the Arabic-yeh suffix fires.
@@ -233,30 +235,58 @@ class TestEval:
         assert code == 0
         assert "\ncorrect\t1\n" in out and "\nother_errors\t0\n" in out
 
-    @settings(max_examples=100, deadline=None)
+    @pytest.mark.parametrize("strip,correct", [([], 1), (["--strip-diacritics=false"], 0)])
+    def test_gold_with_harakat_scored_as_stem_reads_it(self, capsys, tmp_path, strip, correct):
+        # A fatha after the beh: stem strips it by default, and so does eval,
+        # from every gold field; with stripping off the stem keeps it.
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("کتاب\u064eیں\tکتاب\t\tیں\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys, "eval", "--rules", data.path(data.DEFAULT_RULES), "--gold", str(gold), *strip
+        )
+        assert code == 0 and f"\ncorrect\t{correct}\n" in out
+
+    @settings(max_examples=150, deadline=None)
     @given(
         word=st.builds(
             lambda *parts: "".join(parts).strip(),
             st.sampled_from(["", "بد ", "بد", "نو", "لا"]),
-            st.text(alphabet=URDU_LETTERS + " ", min_size=1, max_size=6),
-            st.sampled_from(["", "وں", "ات", "یاں", "ے", "ی"]),
-        ).filter(bool),
+            st.text(alphabet=URDU_LETTERS + DIACRITICS + ZWNJ + "\u0640\u0670\u0654 ",
+                    min_size=1, max_size=8),
+            st.sampled_from(["", "وں", "ات", "یاں", "ے", "ی", "\u064eیں"]),
+        ),
         rules=st.sampled_from([data.DEFAULT_RULES, data.TABLE2_RULES]),
+        strip=st.booleans(),
+        passes=st.sampled_from(["1", "2"]),
+        order=st.sampled_from(["suffix-first", "prefix-first"]),
     )
-    def test_printed_fields_as_gold_score_correct(self, contract_dir, word, rules):
-        # What stem --pretokenized prints for a mark-free word, written in
-        # gold column order (word, stem, prefix, suffix), is correct.
+    def test_printed_fields_as_gold_score_correct(
+        self, contract_dir, word, rules, strip, passes, order
+    ):
+        # What stem --pretokenized prints for a word, with or without harakat,
+        # tatweel or ZWNJ, written in gold column order (word, stem, prefix,
+        # suffix), is correct under eval with the same flags; so is that line
+        # with the word as written, since both commands strip, or keep, the
+        # same marks.
+        flags = [f"--strip-diacritics={strip}", "--suffix-passes", passes,
+                 "--prefix-passes", passes, "--order", order]
         text, gold = contract_dir / "word.txt", contract_dir / "printed.tsv"
         text.write_text(word + "\n", encoding="utf-8")
+        rule_path = data.path(rules)
         out = io.StringIO()
         with redirect_stdout(out):
-            assert main(["stem", str(text), "--pretokenized", "--rules", data.path(rules)]) == 0
+            assert main(["stem", str(text), "--pretokenized", "--rules", rule_path, *flags]) == 0
+        assume(out.getvalue())  # only marks, and stripping left no word
         printed, prefix, stem, suffix = out.getvalue().removesuffix("\n").split("\t")
-        gold.write_text("\t".join((printed, stem, prefix, suffix)) + "\n", encoding="utf-8")
+        # Stripping a mark next to a space can leave a space at an edge, which
+        # stem trims from a line and a gold field keeps.
+        assume(printed == normalize(word, strip_diacritics=strip))
+        gold.write_text("".join("\t".join((w, stem, prefix, suffix)) + "\n" for w in (printed, word)),
+                        encoding="utf-8")
         out = io.StringIO()
         with redirect_stdout(out):
-            assert main(["eval", "--rules", data.path(rules), "--gold", str(gold)]) == 0
-        assert "\ncorrect\t1\n" in out.getvalue()
+            assert main(["eval", "--rules", rule_path, "--gold", str(gold), *flags]) == 0
+        assert "\ncorrect\t2\n" in out.getvalue()
 
     def test_corrupted_gold_line_exits_2(self, capsys, tmp_path):
         gold = tmp_path / "gold.tsv"
@@ -352,6 +382,14 @@ class TestGen:
         assert err.startswith(
             f"urdustem: {lex}: line 2: paradigm not specified for adjective 'سرخ' (must end in ا)"
         )
+
+    def test_lemma_starting_with_hash_exits_2(self, capsys, tmp_path):
+        # Its gold lines would start with "#", which eval reads as comments.
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("noun\tکمرا\nnoun\t#لڑکا\n", encoding="utf-8")
+        code, out, err = run(capsys, "gen", "--lexicon", str(lex))
+        assert code == 2 and out == ""
+        assert err.startswith(f"urdustem: {lex}: line 2: lemma '#لڑکا' starts with '#'")
 
     def test_lexicon_in_arabic_letters_gives_the_urdu_gold(self, capsys, tmp_path):
         # Arabic heh and kaf are unified in the lexicon as in stem's input.

@@ -270,6 +270,16 @@ class TestGoldFile:
             GoldEntry("ک\u064eتاب", "ک\u064eتاب"),
         ]
 
+    def test_strip_diacritics_strips_every_field(self):
+        # Harakat, tatweel and superscript alef in the word, stem, prefix and
+        # suffix, removed as stem --strip-diacritics removes them.
+        text = "نو\u064eجو\u0640ان\u0670یں\tجو\u0650ان\tن\u064eو\tی\u064fں\n"
+        assert parse_gold_file(text, strip_diacritics=True) == [
+            GoldEntry("نوجوانیں", "جوان", "نو", "یں")
+        ]
+        assert parse_gold_file(text) == parse_gold_file(text, strip_diacritics=False)
+        assert parse_gold_file(text)[0].expected_stem == "جو\u0650ان"
+
     def test_comments_ignored(self):
         assert parse_gold_file("# header\nقلم\tقلم\n")[0].word == "قلم"
 

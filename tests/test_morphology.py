@@ -195,6 +195,12 @@ class TestLexiconFile:
         with pytest.raises(ParadigmError, match="line 2"):
             parse_lexicon_file("noun\tہتھوڑا\nadverb\tیہاں\n")
 
+    @pytest.mark.parametrize("category,lemma", [("noun", "#لڑکا"), ("verb", "#کر"), ("adj", "#لمبا")])
+    def test_lemma_starting_with_hash_carries_line(self, category, lemma):
+        # gen would write gold lines starting with "#", which read as comments.
+        with pytest.raises(ParadigmError, match=f"line 2: lemma '{lemma}' starts with '#'"):
+            parse_lexicon_file(f"noun\tکمرا\n{category}\t{lemma}\n")
+
     def test_letters_unified_marks_kept(self):
         items = parse_lexicon_file("noun\tعلاقه\nnoun\tلڑكا\nverb\tك\u064eر\n")
         assert items == [ParadigmEntry("علاقہ"), ParadigmEntry("لڑکا"), VerbRoot("ک\u064eر")]

@@ -67,3 +67,17 @@ def test_cli_start_up_skips_importlib_resources():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_start_up_imports_only_what_stem_needs():
+    """``import urdustem.cli`` under ``python -S`` loads neither
+    ``dataclasses`` (the validating classes are ``__slots__`` records), nor
+    ``evaluation`` and ``morphology`` (``eval`` and ``gen`` import them),
+    nor ``json`` (``stem --json`` imports its escaper)."""
+    banned = ("dataclasses", "inspect", "urdustem.evaluation", "urdustem.morphology",
+              "fractions", "decimal", "json")
+    code = f"import sys, urdustem.cli; print(' '.join(m for m in {banned!r} if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
