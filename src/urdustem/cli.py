@@ -109,7 +109,7 @@ def cmd_stem(args) -> int:
     else:
         words = corpus.tokenize(text)
     try:
-        results = stem_batch(words, rs, cfg)
+        results = dict(zip(words, stem_batch(words, rs, cfg)))
     except StemError as exc:
         raise CliError(str(exc), EXIT_INPUT) from exc
 
@@ -117,16 +117,10 @@ def cmd_stem(args) -> int:
         from json.encoder import encode_basestring
     # Repeats of a word share one result, so each distinct word's line is
     # rendered once.
-    lines: dict[str, str] = {}
-    for r in results:
-        if r.word in lines:
-            continue
-        if args.json:
-            lines[r.word] = _json_line(r, encode_basestring)
-        else:
-            fields = (r.word, shown_affix(r.prefix), r.stem, shown_affix(r.suffix))
-            lines[r.word] = "\t".join(fields) + "\n"
-    sys.stdout.write("".join([lines[r.word] for r in results]))
+    lines = {w: _json_line(r, encode_basestring) if args.json
+             else "\t".join((w, shown_affix(r.prefix), r.stem, shown_affix(r.suffix))) + "\n"
+             for w, r in results.items()}
+    sys.stdout.write("".join(map(lines.__getitem__, words)))
     return EXIT_OK
 
 

@@ -115,8 +115,7 @@ def evaluate(results, gold, stem_only: bool = False) -> EvalReport:
     if not gold:
         raise EvalError("accuracy is undefined for an empty evaluation set")
 
-    correct = 0
-    over = under = other = 0
+    classes: list[ErrorClass] = []
     correct_types: set[str] = set()
     pass_through = 0
     for i, (r, g) in enumerate(zip(results, gold)):
@@ -124,20 +123,16 @@ def evaluate(results, gold, stem_only: bool = False) -> EvalReport:
             cls = classify_error(r, g, stem_only)
         except EvalError as exc:
             raise EvalError(f"entry {i}: {exc}") from exc
+        classes.append(cls)
         if cls is ErrorClass.CORRECT:
-            correct += 1
             correct_types.add(g.word)
             if r.is_pass_through:
                 pass_through += 1
-        elif cls is ErrorClass.OVER_STEMMING:
-            over += 1
-        elif cls is ErrorClass.UNDER_STEMMING:
-            under += 1
-        else:
-            other += 1
 
+    # Counted by identity in C: an Enum member's __hash__ is Python code.
+    counts = {cls: classes.count(cls) for cls in ErrorClass}
     lengths = [graphemes.count(w) for w in {g.word for g in gold}]
-    total = len(gold)
+    total, correct = len(gold), counts[ErrorClass.CORRECT]
     return EvalReport(
         total_words=total,
         correct=correct,
@@ -145,9 +140,9 @@ def evaluate(results, gold, stem_only: bool = False) -> EvalReport:
         unique_correct=len(correct_types),
         pass_through_count=pass_through,
         accuracy_percent=Fraction(correct, total) * 100,
-        over_count=over,
-        under_count=under,
-        other_count=other,
+        over_count=counts[ErrorClass.OVER_STEMMING],
+        under_count=counts[ErrorClass.UNDER_STEMMING],
+        other_count=counts[ErrorClass.OTHER],
         min_word_len=min(lengths),
         max_word_len=max(lengths),
     )
@@ -155,10 +150,7 @@ def evaluate(results, gold, stem_only: bool = False) -> EvalReport:
 
 def format_percent(value: Fraction) -> str:
     """Render an exact percentage to one decimal place, half-up."""
-    tenths = value * 10
-    whole, rem = divmod(tenths.numerator, tenths.denominator)
-    if Fraction(rem, tenths.denominator) >= Fraction(1, 2):
-        whole += 1
+    whole = int(value * 10 + Fraction(1, 2))  # value >= 0, so int() floors
     return f"{whole // 10}.{whole % 10}"
 
 
@@ -208,6 +200,8 @@ def parse_gold_file(text: str, strip_diacritics: bool = False) -> list[GoldEntry
     """Parse a gold-corpus TSV: ``word  stem  [prefix]  [suffix]``.
 
     Empty affix fields mean "no affix expected".  ``#`` starts a comment.
+    The word is trimmed, as ``stem --pretokenized`` trims a line, and
+    may not then start with ``#``.
     Lines are framed by :func:`urdustem.corpus.data_lines`, which unifies
     letters as ``stem`` does, and strips harakat from every field when
     *strip_diacritics* is set, as ``stem`` does by default (``eval``
@@ -222,10 +216,12 @@ def parse_gold_file(text: str, strip_diacritics: bool = False) -> list[GoldEntry
         fields = line.split("\t")
         if len(fields) < 2 or len(fields) > 4:
             raise GoldFileError(f"expected 2-4 tab-separated fields, got {len(fields)}", lineno)
-        fields += [""] * (4 - len(fields))
-        word, stem, prefix, suffix = fields
+        word, stem, prefix, suffix = fields + [""] * (4 - len(fields))
+        word = word.strip()
         if not word or not stem:
             raise GoldFileError("gold word and expected_stem must be non-empty", lineno)
+        if word.startswith("#"):  # indented; written back, it would read as a comment
+            raise GoldFileError(f"word {word!r} starts with '#', which reads as a comment", lineno)
         entries.append(GoldEntry(word, stem, prefix or None, suffix or None))
     return entries
 

@@ -145,13 +145,16 @@ def generate_gold(lexicon) -> list[GoldEntry]:
     return entries
 
 
+_CATEGORIES = {"noun": ParadigmEntry, "verb": VerbRoot, "adj": Adjective}
+
+
 def parse_lexicon_file(text: str):
     """Parse a lexicon TSV: lines of ``noun|verb|adj <TAB> lemma``.
 
     Lines are framed by :func:`urdustem.corpus.data_lines`, as rule and
-    gold lines are, then trimmed; ``#`` starts a comment, and a CR inside
-    a line is rejected.  So is a lemma that starts with ``#``: its gold
-    lines would read as comments.
+    gold lines are, then trimmed, and so is the lemma; ``#`` starts a
+    comment, and a CR inside a line is rejected.  So is a lemma that
+    starts with ``#``: its gold lines would read as comments.
     """
     items = []
     for lineno, line in data_lines(text):
@@ -163,19 +166,14 @@ def parse_lexicon_file(text: str):
         fields = line.split("\t")
         if len(fields) != 2 or not fields[1]:
             raise ParadigmError(f"line {lineno}: expected 'category<TAB>lemma'")
-        category, lemma = fields
+        category, lemma = fields[0], fields[1].strip()
         if lemma.startswith("#"):
             raise ParadigmError(f"line {lineno}: lemma {lemma!r} starts with '#', "
                                 "which a gold file reads as a comment")
         try:
-            if category == "noun":
-                items.append(ParadigmEntry(lemma))
-            elif category == "verb":
-                items.append(VerbRoot(lemma))
-            elif category == "adj":
-                items.append(Adjective(lemma))
-            else:
+            if category not in _CATEGORIES:
                 raise ParadigmError(f"unknown category {category!r}")
+            items.append(_CATEGORIES[category](lemma))
         except ParadigmError as exc:
             raise ParadigmError(f"line {lineno}: {exc}") from None
     return items

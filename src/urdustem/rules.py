@@ -25,7 +25,9 @@ inside a line is rejected.
 
 Rules that could never fire are rejected: a suffix pattern starting
 with a combining mark or joiner (which belongs to the preceding
-grapheme cluster), and a non-NFC pattern, replacement or exception word.
+grapheme cluster), a suffix that ends or a prefix that starts with
+whitespace (no word that ``stem``, ``eval`` or ``gen`` reads has any at
+its edges), and a non-NFC pattern, replacement or exception word.
 """
 
 import unicodedata
@@ -77,6 +79,9 @@ class AffixRule(Record):
         if kind is AffixKind.SUFFIX and graphemes.extends_cluster(pattern[0]):
             # Such a suffix could only match a whole word, leaving no stem.
             raise ValueError(f"suffix pattern {pattern!r} starts with a combining mark or joiner")
+        if (pattern[-1] if kind is AffixKind.SUFFIX else pattern[0]).isspace():
+            # No word that stem, eval or gen reads starts or ends with whitespace.
+            raise ValueError(f"{kind.name.lower()} pattern {pattern!r} has whitespace at its edge")
         if graphemes.count(replacement) > pattern_length:
             raise ValueError(
                 "replacement must not be longer than the pattern "
@@ -184,7 +189,9 @@ def parse_rule_file(text: str) -> RuleSet:
         fields = line.split("\t")
         if len(fields) < 2 or len(fields) > 4:
             raise RuleParseError(f"expected 2-4 tab-separated fields, got {len(fields)}", lineno)
-        kind_field, pattern = fields[0], fields[1]
+        if len(fields) == 3 and fields[2].isascii() and fields[2].isdigit():
+            fields.insert(2, "")  # a bare digit field is min_stem, not a replacement
+        kind_field, pattern, replacement, min_field = fields + [None] * (4 - len(fields))
         try:
             kind = AffixKind(kind_field)
         except ValueError:
@@ -192,20 +199,10 @@ def parse_rule_file(text: str) -> RuleSet:
         if not pattern:
             raise RuleParseError("empty affix pattern", lineno)
 
-        replacement = ""
-        min_stem: int | None = None
-        rest = fields[2:]
-        if len(rest) == 2:
-            replacement = rest[0]
-            min_stem = _parse_min_stem(rest[1], lineno)
-        elif len(rest) == 1:
-            if rest[0].isascii() and rest[0].isdigit():
-                min_stem = _parse_min_stem(rest[0], lineno)
-            else:
-                replacement = rest[0]
+        min_stem = None if min_field is None else _parse_min_stem(min_field, lineno)
 
         try:
-            rule = AffixRule(kind, pattern, replacement, min_stem)
+            rule = AffixRule(kind, pattern, replacement or "", min_stem)
         except ValueError as exc:
             raise RuleParseError(str(exc), lineno) from None
 

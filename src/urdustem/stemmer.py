@@ -166,20 +166,17 @@ def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemR
 
 
 def stem_batch(words, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> list[StemResult]:
-    """Stem a sequence of words, order-preserving.
+    """Stem an iterable of words, order-preserving.
 
-    Each distinct word is stemmed once and its repeats share that one
-    (immutable) result.  A per-word error is re-raised with the offending
-    index.
+    Each distinct word is stemmed once, in order of first occurrence, and
+    its repeats share that one (immutable) result.  A per-word error is
+    re-raised with the index of the word's first occurrence.
     """
-    seen: dict[str, StemResult] = {}
-    results: list[StemResult] = []
-    for i, word in enumerate(words):
-        result = seen.get(word)
-        if result is None:
-            try:
-                result = seen[word] = stem_word(word, rs, cfg)
-            except StemError as exc:
-                raise StemError(f"word {i}: {exc}") from exc
-        results.append(result)
-    return results
+    words = list(words)
+    results: dict[str, StemResult] = {}
+    for word in dict.fromkeys(words):
+        try:
+            results[word] = stem_word(word, rs, cfg)
+        except StemError as exc:
+            raise StemError(f"word {words.index(word)}: {exc}") from exc
+    return list(map(results.__getitem__, words))

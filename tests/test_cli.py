@@ -4,11 +4,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from json.encoder import encode_basestring
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from urdustem import data
 from urdustem.cli import _json_line, main
-from urdustem.corpus import normalize
 from urdustem.graphemes import ZWNJ
 from urdustem.stemmer import StemResult, stem_batch
 
@@ -260,6 +259,10 @@ class TestEval:
         passes=st.sampled_from(["1", "2"]),
         order=st.sampled_from(["suffix-first", "prefix-first"]),
     )
+    # Stripping the fatha leaves a space at the word's end, which stem trims
+    # from a line and eval from a gold word.
+    @example(word="کتاب \u064e", rules=data.DEFAULT_RULES, strip=True, passes="1",
+             order="suffix-first")
     def test_printed_fields_as_gold_score_correct(
         self, contract_dir, word, rules, strip, passes, order
     ):
@@ -278,9 +281,6 @@ class TestEval:
             assert main(["stem", str(text), "--pretokenized", "--rules", rule_path, *flags]) == 0
         assume(out.getvalue())  # only marks, and stripping left no word
         printed, prefix, stem, suffix = out.getvalue().removesuffix("\n").split("\t")
-        # Stripping a mark next to a space can leave a space at an edge, which
-        # stem trims from a line and a gold field keeps.
-        assume(printed == normalize(word, strip_diacritics=strip))
         gold.write_text("".join("\t".join((w, stem, prefix, suffix)) + "\n" for w in (printed, word)),
                         encoding="utf-8")
         out = io.StringIO()

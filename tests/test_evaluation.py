@@ -1,8 +1,10 @@
 import random
+from collections import Counter
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from urdustem import graphemes
 from urdustem.evaluation import (
@@ -169,6 +171,29 @@ class TestEvaluate:
         assert report.accuracy_percent == Fraction(100, 3)
         assert format_percent(report.accuracy_percent) == "33.3"
 
+    @example(Fraction(1, 20))  # 0.05: a tie rounds up
+    @example(Fraction(249, 100))
+    @example(Fraction(3, 40))
+    @example(Fraction(0))
+    @given(value=st.fractions(min_value=0, max_value=10**6, max_denominator=10**6))
+    def test_format_percent_rounds_half_up_to_one_place(self, value):
+        with localcontext() as ctx:
+            ctx.prec = 60  # exact at every tie; far from one otherwise
+            exact = Decimal(value.numerator) / Decimal(value.denominator)
+            expected = exact.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
+        assert format_percent(value) == str(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cases=st.lists(_classify_cases(), min_size=1, max_size=12), stem_only=st.booleans())
+    def test_class_counts_tally_classify_error(self, cases, stem_only):
+        results, gold = zip(*cases)
+        report = evaluate(results, gold, stem_only)
+        tally = Counter(classify_error(r, g, stem_only) for r, g in cases)
+        assert (report.correct, report.over_count, report.under_count, report.other_count) == (
+            tally[ErrorClass.CORRECT], tally[ErrorClass.OVER_STEMMING],
+            tally[ErrorClass.UNDER_STEMMING], tally[ErrorClass.OTHER])
+        assert report.wrong == len(cases) - tally[ErrorClass.CORRECT]
+
     def test_error_breakdown_partitions_wrong(self):
         results = [
             result("پیشگی", "پیشگ", suffix="ی"),
@@ -279,6 +304,21 @@ class TestGoldFile:
         ]
         assert parse_gold_file(text) == parse_gold_file(text, strip_diacritics=False)
         assert parse_gold_file(text)[0].expected_stem == "جو\u0650ان"
+
+    def test_word_trimmed_other_fields_kept(self):
+        # stem --pretokenized trims a line; it prints stems and affixes as is.
+        assert parse_gold_file("\u00a0کتابیں \tکتاب \t\t یں\n") == [
+            GoldEntry("کتابیں", "کتاب ", None, " یں")
+        ]
+
+    def test_word_of_whitespace_only_rejected_with_line(self):
+        with pytest.raises(GoldFileError, match="^line 2: gold word and expected_stem"):
+            parse_gold_file("قلم\tقلم\n \tقلم\n")
+
+    def test_word_trimmed_to_hash_rejected_with_line(self):
+        # Written back by gold_to_tsv, it would read as a comment.
+        with pytest.raises(GoldFileError, match="^line 2: word '#کتاب' starts with '#'"):
+            parse_gold_file("قلم\tقلم\n #کتاب\tکتاب\n")
 
     def test_comments_ignored(self):
         assert parse_gold_file("# header\nقلم\tقلم\n")[0].word == "قلم"

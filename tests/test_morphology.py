@@ -201,6 +201,10 @@ class TestLexiconFile:
         with pytest.raises(ParadigmError, match=f"line 2: lemma '{lemma}' starts with '#'"):
             parse_lexicon_file(f"noun\tکمرا\n{category}\t{lemma}\n")
 
+    def test_lemma_trimmed(self):
+        items = parse_lexicon_file("noun\t لڑکا\nverb\t\u00a0 کر\nadj\t  لمبا\n")
+        assert items == [ParadigmEntry("لڑکا"), VerbRoot("کر"), Adjective("لمبا")]
+
     def test_letters_unified_marks_kept(self):
         items = parse_lexicon_file("noun\tعلاقه\nnoun\tلڑكا\nverb\tك\u064eر\n")
         assert items == [ParadigmEntry("علاقہ"), ParadigmEntry("لڑکا"), VerbRoot("ک\u064eر")]

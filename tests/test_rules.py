@@ -64,6 +64,21 @@ class TestAffixRule:
             parse_rule_file(f"S\t{pattern}\n")
         assert exc_info.value.line == 1
 
+    # stem, eval and gen read no word that starts or ends with whitespace, so
+    # such a suffix or prefix edge could never match.
+    @pytest.mark.parametrize("kind,pattern", [
+        (S, "یں "), (S, "یں\u00a0"), (P, " بد"), (P, "\tبد"),
+    ], ids=["suffix-space", "suffix-nbsp", "prefix-space", "prefix-tab"])
+    def test_whitespace_at_the_matched_edge_rejected(self, kind, pattern):
+        with pytest.raises(ValueError, match="has whitespace at its edge"):
+            AffixRule(kind, pattern)
+        if "\t" not in pattern:
+            with pytest.raises(RuleParseError, match="^line 2: .* has whitespace at its edge"):
+                parse_rule_file(f"S\tوں\n{kind.value}\t{pattern}\n")
+
+    def test_whitespace_at_the_inner_edge_kept(self):
+        assert parse_rule_file("P\tبد \nS\t یں\n").rules == (AffixRule(P, "بد "), AffixRule(S, " یں"))
+
     def test_prefix_starting_with_a_mark_still_fires(self):
         rs = parse_rule_file("P\t\u064eک\n")
         assert stem_word("\u064eکتاب", rs).stem == "تاب"
@@ -199,6 +214,36 @@ class TestParse:
         with pytest.raises(RuleParseError) as exc_info:
             parse_rule_file("# comment\n" + line + "\n")
         assert exc_info.value.line == 2
+
+    @pytest.mark.parametrize("line,expected", [
+        ("S\tوں", AffixRule(S, "وں")),
+        ("S\tوں\tہ", AffixRule(S, "وں", "ہ")),
+        ("S\tوں\t3", AffixRule(S, "وں", min_stem=3)),
+        ("S\tوں\t007", AffixRule(S, "وں", min_stem=7)),
+        ("S\tوں\t٣", AffixRule(S, "وں", "٣")),  # Arabic-Indic three: not ASCII, a replacement
+        ("S\tوں\t", AffixRule(S, "وں")),
+        ("S\tوں\t0", "min_stem must be a positive integer, got '0'"),
+        ("S\tوں\t\t", "min_stem must be a positive integer, got ''"),
+        ("S\tوں\tہ\t", "min_stem must be a positive integer, got ''"),
+        ("S\tوں\t\t3", AffixRule(S, "وں", min_stem=3)),
+        ("S\tوں\tہ\t3", AffixRule(S, "وں", "ہ", 3)),
+        ("S\tوں\t5\t3", AffixRule(S, "وں", "5", 3)),
+        ("S\tوں\tہ\tx", "min_stem must be a positive integer, got 'x'"),
+        ("S\tوں\tہ\t٣", "min_stem must be a positive integer, got '٣'"),
+        ("S\tوں\tوں", "replacement must differ from the pattern ('وں')"),
+        ("S", "expected 2-4 tab-separated fields, got 1"),
+        ("S\tوں\tہ\t3\t", "expected 2-4 tab-separated fields, got 5"),
+        ("X\t\t0", "kind must be P or S, got 'X'"),
+        ("S\t\t0", "empty affix pattern"),
+    ])
+    def test_each_field_shape_parses_or_names_its_fault(self, line, expected):
+        text = "# comment\n" + line + "\n"
+        if isinstance(expected, AffixRule):
+            assert parse_rule_file(text).rules == (expected,)
+        else:
+            with pytest.raises(RuleParseError) as exc_info:
+                parse_rule_file(text)
+            assert str(exc_info.value) == f"line 2: {expected}"
 
     def test_duplicate_rule_names_both_lines(self):
         with pytest.raises(RuleParseError) as exc_info:
@@ -343,7 +388,7 @@ _FIELD_COUNT = "line 1: expected 2-4 tab-separated fields, got 1"
     (parse_gold_file, "  # note\n", (GoldFileError, _FIELD_COUNT)),
     (parse_lexicon_file, "  # note\nnoun\tہتھوڑا\n", _HAMMER),
     (parse_lexicon_file, "  noun\tہتھوڑا  \n", _HAMMER),
-    (parse_gold_file, " کتاب\tکتاب \n", [GoldEntry(" کتاب", "کتاب ")]),
+    (parse_gold_file, " کتاب\tکتاب \n", [GoldEntry("کتاب", "کتاب ")]),
     (parse_rule_file, " S\tوں\n", (RuleParseError, "line 1: kind must be P or S, got ' S'")),
     (parse_rule_file, "S\tو\rں\r\n", (RuleParseError, "line 1: CR inside a line")),
     (parse_gold_file, "کتاب\tکتاب\nلڑ\rکا\tلڑکا\n", (GoldFileError, "line 2: CR inside a line")),

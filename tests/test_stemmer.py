@@ -188,6 +188,22 @@ class TestBatch:
         with pytest.raises(StemError, match="^word 1: "):
             stem_batch(["قلم", "", "قلم", ""], default_rules)
 
+    def test_one_shot_iterator_equals_list(self, default_rules):
+        words = ["علاقوں", "قلم", "علاقوں", "نوجوان", "قلم"]
+        batch = stem_batch(iter(words), default_rules)
+        assert batch == stem_batch(words, default_rules)
+        assert batch[0] is batch[2] and batch[1] is batch[4]
+
+    @pytest.mark.parametrize("words,index", [
+        (["قلم", "e\u0301", "قلم", "e\u0301"], 1),
+        (["قلم", "کتاب", "قلم", "", "کتاب", ""], 3),
+        (["قلم", "قلم", "e\u0301", ""], 2),
+    ], ids=["non-nfc", "empty", "non-nfc-then-empty"])
+    def test_error_index_is_first_position_of_the_bad_word(self, default_rules, words, index):
+        for given in (words, iter(words)):
+            with pytest.raises(StemError, match=f"^word {index}: "):
+                stem_batch(given, default_rules)
+
     def test_large_random_batch_matches_per_word_path(self, default_rules):
         rng = random.Random(7)
         words = [random_word(rng, 2, 8) for _ in range(1000)]
