@@ -78,11 +78,16 @@ def _read_input(path: str) -> str:
         raise CliError(f"{path}: {exc.strerror}", EXIT_INPUT) from exc
 
 
-def _load_rules(path: str) -> RuleSet:
+def _read_data(path: str, read, error: type[Exception], code: int = EXIT_INPUT):
+    """``read(text)`` of the data file at *path*; its *error* exits *code*, naming the path."""
     try:
-        return parse_rule_file(_read_input(path))
-    except RuleParseError as exc:
-        raise CliError(f"{path}: {exc}", EXIT_VALIDATION) from exc
+        return read(_read_input(path))
+    except error as exc:
+        raise CliError(f"{path}: {exc}", code) from exc
+
+
+def _load_rules(path: str) -> RuleSet:
+    return _read_data(path, parse_rule_file, RuleParseError, EXIT_VALIDATION)
 
 
 def _stem_config(args) -> StemConfig:
@@ -129,10 +134,8 @@ def cmd_eval(args) -> int:
 
     rs = _load_rules(args.rules)
     cfg = _stem_config(args)
-    try:
-        gold = evaluation.parse_gold_file(_read_input(args.gold), args.strip_diacritics)
-    except evaluation.GoldFileError as exc:
-        raise CliError(f"{args.gold}: {exc}", EXIT_INPUT) from exc
+    gold = _read_data(args.gold, lambda t: evaluation.parse_gold_file(t, args.strip_diacritics),
+                      evaluation.GoldFileError)
     try:
         results = stem_batch([g.word for g in gold], rs, cfg)
         report = evaluation.evaluate(results, gold, stem_only=args.stem_only)
@@ -163,11 +166,8 @@ def cmd_rules(args) -> int:
 def cmd_gen(args) -> int:
     from urdustem import evaluation, morphology
 
-    try:
-        lexicon = morphology.parse_lexicon_file(_read_input(args.lexicon))
-        gold = morphology.generate_gold(lexicon)
-    except morphology.ParadigmError as exc:
-        raise CliError(f"{args.lexicon}: {exc}", EXIT_INPUT) from exc
+    lexicon = _read_data(args.lexicon, morphology.parse_lexicon_file, morphology.ParadigmError)
+    gold = morphology.generate_gold(lexicon)
     out = []
     if any(isinstance(item, morphology.VerbRoot) for item in lexicon):
         out.append("# provenance: verb forms are pattern-generalized from a single exemplar\n")

@@ -49,7 +49,7 @@ def normalize(text: str, strip_diacritics: bool = True) -> str:
     return unicodedata.normalize("NFC", text)
 
 
-def data_lines(text: str, strip_diacritics: bool = False) -> Iterator[tuple[int, str]]:
+def data_lines(text: str, error, strip_diacritics: bool = False) -> Iterator[tuple[int, str]]:
     """Yield ``(lineno, line)`` for each non-blank line of a data file.
 
     The framing every data file shares (rule, gold and lexicon): a leading
@@ -57,12 +57,16 @@ def data_lines(text: str, strip_diacritics: bool = False) -> Iterator[tuple[int,
     unifies them, marks kept unless *strip_diacritics* is set (one
     ``normalize(text, strip_diacritics)`` pass), lines are split on LF
     with trailing CRs stripped, and whitespace-only lines are skipped.
-    Line numbers count every line from 1.
+    A CR left inside a non-blank line raises ``error("CR inside a line",
+    lineno)``, *error* being the reader's own error type.  Line numbers
+    count every line from 1.
     """
     text = normalize(text.removeprefix("\ufeff"), strip_diacritics)
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.rstrip("\r")
         if line.strip():
+            if "\r" in line:
+                raise error("CR inside a line", lineno)
             yield lineno, line
 
 

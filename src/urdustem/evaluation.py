@@ -208,9 +208,7 @@ def parse_gold_file(text: str, strip_diacritics: bool = False) -> list[GoldEntry
     passes its ``--strip-diacritics``); a CR inside a line is rejected.
     """
     entries: list[GoldEntry] = []
-    for lineno, line in data_lines(text, strip_diacritics):
-        if "\r" in line:
-            raise GoldFileError("CR inside a line", lineno)
+    for lineno, line in data_lines(text, GoldFileError, strip_diacritics):
         if line.startswith("#"):
             continue
         fields = line.split("\t")

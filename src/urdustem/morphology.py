@@ -157,9 +157,8 @@ def parse_lexicon_file(text: str):
     starts with ``#``: its gold lines would read as comments.
     """
     items = []
-    for lineno, line in data_lines(text):
-        if "\r" in line:
-            raise ParadigmError(f"line {lineno}: CR inside a line")
+    lines = data_lines(text, lambda message, lineno: ParadigmError(f"line {lineno}: {message}"))
+    for lineno, line in lines:
         line = line.strip()
         if line.startswith("#"):
             continue

@@ -20,21 +20,22 @@ the directives::
 Fields are not trimmed: a pattern may legitimately end in a space
 (e.g. a prefix that consumes the following separator).  Lines are framed
 by :func:`urdustem.corpus.data_lines`, as gold and lexicon lines are: BOM,
-CRLF, and letters unified as ``stem`` unifies them, marks kept.  A CR
+CRLF, and letters unified as ``stem`` unifies them, marks kept; a CR
 inside a line is rejected.
 
-Rules that could never fire are rejected: a suffix pattern starting
-with a combining mark or joiner (which belongs to the preceding
-grapheme cluster), a suffix that ends or a prefix that starts with
-whitespace (no word that ``stem``, ``eval`` or ``gen`` reads has any at
-its edges), and a non-NFC pattern, replacement or exception word.
+Rules and exceptions that could never fire are rejected: a suffix
+pattern starting with a combining mark or joiner (which belongs to the
+preceding grapheme cluster), a suffix that ends, a prefix that starts or
+an exception word that starts or ends with whitespace (no word that
+``stem``, ``eval`` or ``gen`` reads has any at its edges), and a non-NFC
+pattern, replacement or exception word.
 """
 
 import unicodedata
 from enum import Enum
 
 from urdustem import graphemes
-from urdustem.corpus import data_lines, normalize
+from urdustem.corpus import data_lines
 from urdustem.record import Record
 
 DEFAULT_MIN_STEM = 2
@@ -123,6 +124,9 @@ class RuleSet(Record):
         for word in exceptions:
             if not unicodedata.is_normalized("NFC", word):
                 raise ValueError(f"exception word {word!r} is not NFC")
+            if word != word.strip():
+                # stem, eval and gen trim every word they read, so it could never match.
+                raise ValueError(f"exception word {word!r} has whitespace at an edge")
         self._set(rules=rules, exceptions=exceptions, default_min_stem=default_min_stem)
         buckets: dict[bool, dict[str, dict[int, dict]]] = {True: {}, False: {}}
         for rule in sorted(rules, key=lambda r: -len(r.pattern)):
@@ -165,16 +169,17 @@ def parse_rule_file(text: str) -> RuleSet:
     exceptions: set[str] = set()
     default_min_stem = DEFAULT_MIN_STEM
 
-    for lineno, line in data_lines(text):
-        if "\r" in line:
-            raise RuleParseError("CR inside a line", lineno)
+    for lineno, line in data_lines(text, RuleParseError):
         if line.startswith("#!"):
             fields = line.split("\t")
             directive = fields[0]
             if directive == "#!exception":
                 if len(fields) != 2 or not fields[1]:
                     raise RuleParseError("#!exception needs one non-empty word", lineno)
-                exceptions.add(fields[1])
+                try:  # RuleSet's checks on the word, reported with its line
+                    exceptions |= RuleSet((), {fields[1]}).exceptions
+                except ValueError as exc:
+                    raise RuleParseError(str(exc), lineno) from None
             elif directive == "#!default-min-stem":
                 value = fields[1] if len(fields) == 2 else ""
                 if not (value.isascii() and value.isdigit() and int(value) >= 1):
@@ -225,13 +230,6 @@ def _parse_min_stem(text: str, lineno: int) -> int:
     return int(text)
 
 
-def _check_writable(text: str, what: str) -> None:
-    if not {"\t", "\r", "\n"}.isdisjoint(text):
-        raise ValueError(f"{what} holds a tab, CR or LF, which a rule file cannot express")
-    if normalize(text, strip_diacritics=False) != text:
-        raise ValueError(f"{what} holds a letter that reading a rule file unifies")
-
-
 def _rule_fields(rule: AffixRule) -> list[str]:
     """The four rule-file fields of *rule*; an absent ``min_stem`` is ``""``."""
     return [rule.kind.value, rule.pattern, rule.replacement, str(rule.min_stem or "")]
@@ -241,12 +239,12 @@ def serialize_rule_set(rs: RuleSet) -> str:
     """Render a rule set in canonical form.
 
     ``parse_rule_file(serialize_rule_set(rs))`` equals ``rs``, and the
-    output is a fixpoint of serialize-after-parse.  Raises
-    :class:`ValueError` for a rule set the format cannot express: a tab,
-    CR or LF inside a pattern, replacement or exception word, a letter
-    there that reading unifies (an Arabic ``ي`` reads back as ``ی``), or a
-    digit-only replacement on a rule without its own ``min_stem`` (it
-    would read back as ``min_stem``).
+    output is a fixpoint of serialize-after-parse: each exception and
+    rule line is written only if :func:`parse_rule_file` reads it back as
+    that word or rule alone, and :class:`ValueError` names it otherwise.
+    That refuses a tab, CR or LF inside a field, a letter there that
+    reading unifies (``ي`` reads back as ``ی``), and a digit-only
+    replacement without its own ``min_stem`` (read as ``min_stem``).
     """
     lines = [
         "# urdustem rule file",
@@ -254,16 +252,16 @@ def serialize_rule_set(rs: RuleSet) -> str:
         f"# prefixes: {rs.prefix_count}",
         f"#!default-min-stem\t{rs.default_min_stem}",
     ]
-    for word in sorted(rs.exceptions):
-        _check_writable(word, f"exception {word!r}")
-        lines.append(f"#!exception\t{word}")
-    for rule in rs.rules:
-        for text in (rule.pattern, rule.replacement):
-            _check_writable(text, f"rule {rule.rule_id!r}")
-        if rule.min_stem is None and rule.replacement.isascii() and rule.replacement.isdigit():
-            raise ValueError(
-                f"rule {rule.rule_id!r}: a digit-only replacement needs an explicit min_stem"
-            )
-        # Trailing empty fields are dropped; no field holds a tab (checked above).
-        lines.append("\t".join(_rule_fields(rule)).rstrip("\t"))
+    entries = [(f"#!exception\t{w}", RuleSet((), {w}), f"exception {w!r}")
+               for w in sorted(rs.exceptions)]
+    entries += [("\t".join(_rule_fields(r)).rstrip("\t"), RuleSet((r,)), f"rule {r.rule_id!r}")
+                for r in rs.rules]  # a rule line drops its trailing empty fields
+    for line, alone, name in entries:
+        try:
+            read = parse_rule_file(line)
+        except RuleParseError:
+            read = None
+        if read != alone:
+            raise ValueError(f"{name} cannot be written: its line {line!r} reads back otherwise")
+        lines.append(line)
     return "\n".join(lines) + "\n"

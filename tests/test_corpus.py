@@ -150,11 +150,20 @@ class TestNormalize:
         assert normalize("e\u0640\u0301") == "\u00e9"
 
 
+class _LineError(Exception):
+    """Stands in for a reader's error type, built from (message, lineno)."""
+
+
 def test_data_lines_frames_and_unifies_letters():
     # BOM, CRLF and blank lines are framing; Arabic kaf and yeh read as the
-    # Urdu letters, the fatha stays, and a CR inside a line is left as is.
-    text = "\ufeffكتاب\r\n \t\n\nيَ\r\r\na\rb\n"
-    assert list(data_lines(text)) == [(1, "کتاب"), (4, "یَ"), (5, "a\rb")]
+    # Urdu letters, the fatha stays, and a whitespace-only line that holds a
+    # CR is skipped.  A CR inside a non-blank line raises the caller's error
+    # type with its line, once the lines before it are yielded.
+    lines = data_lines("\ufeffكتاب\r\n \t\n \r \nيَ\r\r\na\rb\nلکھ\n", _LineError)
+    assert [next(lines), next(lines)] == [(1, "کتاب"), (4, "یَ")]
+    with pytest.raises(_LineError) as exc_info:
+        next(lines)
+    assert exc_info.value.args == ("CR inside a line", 5)
 
 
 class TestTokenize:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from urdustem import graphemes
 from urdustem.graphemes import ZWJ, ZWNJ
@@ -215,3 +215,29 @@ class TestLexiconFile:
         items = parse_lexicon_file(data.read_text(data.GROUP1_LEXICON))
         assert len(items) >= 50
         assert all(isinstance(i, ParadigmEntry) for i in items)
+
+
+# Lemma pieces: the three noun endings, Arabic heh (read as choti he), a
+# fatha, "#", and whitespace that trimming may or may not reach.
+_LEMMA_PIECES = ["لڑک", "ا", "ہ", "ه", "ع", "ک", "\u064e", "#", " ", "\u00a0", "\t", "\r"]
+_LEXICON_LINES = st.lists(
+    st.builds(lambda category, lemma: f"{category}\t{lemma}",
+              st.sampled_from(["noun", "verb", "adj", " noun", "# noun"]),
+              st.lists(st.sampled_from(_LEMMA_PIECES), max_size=4).map("".join))
+    | st.sampled_from(["", " ", "# note"]),
+    max_size=5,
+)
+_PARADIGM_SIZES = {ParadigmEntry: 6, VerbRoot: 3, Adjective: 2}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LEXICON_LINES.map("\n".join))
+def test_every_lexicon_that_parses_generates(text):
+    # gen reads the lexicon as the one step that can fail: each item that
+    # parse_lexicon_file builds is one generate_gold can inflect.
+    try:
+        lexicon = parse_lexicon_file(text)
+    except ParadigmError:
+        return
+    gold = generate_gold(lexicon)
+    assert len(gold) == sum(_PARADIGM_SIZES[type(item)] for item in lexicon)

@@ -1,9 +1,11 @@
+import re
 import unicodedata
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from urdustem import graphemes
+from urdustem.corpus import normalize
 from urdustem.evaluation import GoldEntry, GoldFileError, parse_gold_file
 from urdustem.graphemes import ZWJ, ZWNJ
 from urdustem.morphology import ParadigmEntry, ParadigmError, parse_lexicon_file
@@ -299,6 +301,20 @@ class TestRuleSet:
             RuleSet((), frozenset({"کتا\u0627\u0653"}))
         assert RuleSet((), frozenset({"کت\u0622"})).exceptions == {"کت\u0622"}
 
+    @pytest.mark.parametrize("word", [" کتاب", "کتاب\u00a0"], ids=["leading-space", "trailing-nbsp"])
+    def test_exception_word_with_whitespace_at_an_edge_rejected(self, word):
+        # stem, eval and gen trim every word they read, so it could never match.
+        with pytest.raises(ValueError, match=re.escape(f"exception word {word!r} has whitespace")):
+            RuleSet((), frozenset({word}))
+        with pytest.raises(RuleParseError) as exc_info:
+            parse_rule_file(f"S\tاب\n#!exception\t{word}\n")
+        assert str(exc_info.value) == f"line 2: exception word {word!r} has whitespace at an edge"
+
+    def test_exception_word_with_inner_whitespace_kept(self):
+        # A --pretokenized word may hold a space.
+        assert RuleSet((), frozenset({"بد نصیب"})).exceptions == {"بد نصیب"}
+        assert parse_rule_file("#!exception\tبد نصیب\n").exceptions == {"بد نصیب"}
+
 
 def _parts(word, rs):
     res = stem_word(word, rs)
@@ -425,6 +441,63 @@ def test_accepted_rule_text_serializes_and_reads_back_equal(text):
     rs = _outcome(parse_rule_file, text)
     if isinstance(rs, RuleSet):
         assert parse_rule_file(serialize_rule_set(rs)) == rs
+
+
+# Field pieces: letters, a digit-only string, a fatha, a space, the Arabic
+# yeh, kaf and heh that reading unifies, and the tab, CR and LF that split
+# or end a line.
+_FIELD_PIECES = ["ک", "تاب", "وں", "3", "12", "\u064e", " ", "ي", "ك", "ه", "\t", "\r", "\n"]
+_FIELDS = st.lists(st.sampled_from(_FIELD_PIECES), max_size=3).map("".join)
+
+
+def _or_none(build, *args):
+    try:
+        return build(*args)
+    except ValueError:
+        return None
+
+
+_RULE_SETS = st.builds(
+    lambda rules, exceptions: _or_none(RuleSet, [r for r in rules if r], exceptions),
+    st.lists(st.builds(_or_none, st.just(AffixRule), st.sampled_from(AffixKind), _FIELDS, _FIELDS,
+                       st.sampled_from([None, 1, 3])), max_size=4),
+    # RuleSet refuses an empty word or one with whitespace at an edge.
+    st.frozensets(_FIELDS.filter(lambda w: w and w == w.strip()), max_size=2),
+)
+
+
+def _unwritable(text):
+    return not {"\t", "\r", "\n"}.isdisjoint(text) or normalize(text, strip_diacritics=False) != text
+
+
+def _refused_name(rs):
+    """What a writer that states the format's rules itself refuses first, or None.
+
+    A field holding a tab, CR or LF or a letter that reading unifies, or a
+    digit-only replacement on a rule without its own ``min_stem``.
+    """
+    for word in sorted(rs.exceptions):
+        if _unwritable(word):
+            return f"exception {word!r}"
+    for rule in rs.rules:
+        fields = (rule.pattern, rule.replacement)
+        digit_only = rule.replacement.isascii() and rule.replacement.isdigit()
+        if any(map(_unwritable, fields)) or digit_only and rule.min_stem is None:
+            return f"rule {rule.rule_id!r}"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RULE_SETS)
+def test_serialize_refuses_exactly_what_the_format_cannot_express(rs):
+    assume(rs is not None)
+    name = _refused_name(rs)
+    if name is None:
+        assert parse_rule_file(serialize_rule_set(rs)) == rs
+    else:
+        with pytest.raises(ValueError) as exc_info:
+            serialize_rule_set(rs)
+        assert name in str(exc_info.value)
 
 
 class TestSerialize:
