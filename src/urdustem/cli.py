@@ -8,8 +8,9 @@ Subcommands::
     urdustem gen   --lexicon FILE            synthesize a gold corpus
 
 Exit codes: 0 success, 1 validation failure (bad rule file), 2
-input/alignment error.  Output is buffered and written in one piece, so
-error paths never leave partial lines behind.
+input/alignment error.  Every error is raised before the first byte of
+output, so stdout stays empty unless the exit code is 0.  Output is UTF-8
+whatever the locale, and ``stem`` writes it in blocks of ``_BLOCK`` tokens.
 
 Start-up imports only what ``stem`` needs: ``eval`` and ``gen`` import
 ``evaluation`` and ``morphology`` when they run, and ``stem --json``
@@ -17,6 +18,7 @@ imports its string escaper from ``json.encoder``.
 """
 
 import argparse
+import codecs
 import sys
 
 from urdustem import corpus
@@ -34,6 +36,10 @@ from urdustem.stemmer import (
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
+
+# Tokens per stdout write: stem holds one joined block beside its lines, not
+# the whole output, and writing the whole output at once was no faster.
+_BLOCK = 1024
 
 # A --json line has a fixed schema.  Its strings go through *q*,
 # json.encoder.encode_basestring (cmd_stem imports it only for --json), the
@@ -113,19 +119,21 @@ def cmd_stem(args) -> int:
                     raise CliError(f"{args.input}: line {lineno}: tab or CR inside a word", EXIT_INPUT)
     else:
         words = corpus.tokenize(text)
+    del text
     try:
-        results = dict(zip(words, stem_batch(words, rs, cfg)))
+        lines = dict(zip(words, stem_batch(words, rs, cfg)))
     except StemError as exc:
         raise CliError(str(exc), EXIT_INPUT) from exc
 
     if args.json:
         from json.encoder import encode_basestring
-    # Repeats of a word share one result, so each distinct word's line is
-    # rendered once.
-    lines = {w: _json_line(r, encode_basestring) if args.json
-             else "\t".join((w, shown_affix(r.prefix), r.stem, shown_affix(r.suffix))) + "\n"
-             for w, r in results.items()}
-    sys.stdout.write("".join(map(lines.__getitem__, words)))
+    # Each distinct word's result is replaced by its line in the same dict,
+    # so repeats share one line and a result is freed once it is rendered.
+    for w, r in lines.items():
+        lines[w] = (_json_line(r, encode_basestring) if args.json
+                    else "\t".join((w, shown_affix(r.prefix), r.stem, shown_affix(r.suffix))) + "\n")
+    for i in range(0, len(words), _BLOCK):
+        sys.stdout.write("".join(map(lines.__getitem__, words[i:i + _BLOCK])))
     return EXIT_OK
 
 
@@ -219,6 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Every format the CLI writes is UTF-8, whatever the locale says.  A
+    # StringIO or other text sink without reconfigure is left as it is.
+    if getattr(sys.stdout, "reconfigure", None) and codecs.lookup(sys.stdout.encoding).name != "utf-8":
+        sys.stdout.reconfigure(encoding="utf-8")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

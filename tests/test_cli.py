@@ -1,17 +1,26 @@
 import io
 import json
+import math
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from json.encoder import encode_basestring
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from urdustem import data
-from urdustem.cli import _json_line, main
+from urdustem.cli import _BLOCK, _json_line, main
 from urdustem.graphemes import ZWNJ
-from urdustem.stemmer import StemResult, stem_batch
+from urdustem.stemmer import StemResult, stem_word
 
-from conftest import DIACRITICS, URDU_LETTERS
+from conftest import DIACRITICS, URDU_LETTERS, random_word
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 TABLE2_WORDS = "علاقوں فاصلے سوالات لڑکیاں راجویر نوجوان لاجواب".split() + ["بد نصیب"]
 
@@ -40,6 +49,25 @@ def table2_input(tmp_path):
     p = tmp_path / "words.txt"
     p.write_text("".join(w + "\n" for w in TABLE2_WORDS), encoding="utf-8")
     return str(p)
+
+
+def reference_output(words, rs, as_json):
+    """``stem``'s stdout for *words* in the README's formats, one
+    ``stem_word`` call per token."""
+    lines = []
+    for word in words:
+        r = stem_word(word, rs)
+        if as_json:
+            lines.append(json.dumps(
+                {"word": r.word, "prefix": r.prefix, "stem": r.stem, "suffix": r.suffix,
+                 "applied": list(r.applied), "exception": r.exception_hit},
+                ensure_ascii=False,
+            ))
+        else:
+            lines.append("\t".join(
+                (r.word, (r.prefix or "").strip(), r.stem, (r.suffix or "").strip())
+            ))
+    return "".join(line + "\n" for line in lines)
 
 
 def run(capsys, *argv):
@@ -100,23 +128,10 @@ class TestStem:
         p = tmp_path / "text.txt"
         p.write_text("لڑکوں کتابیں لڑکوں، بدنصیب لڑکوں۔ کتابیں\n", encoding="utf-8")
         words = ["لڑکوں", "کتابیں", "لڑکوں", "بدنصیب", "لڑکوں", "کتابیں"]
-        expected = []
-        for word in words:
-            (r,) = stem_batch([word], default_rules)
-            if as_json:
-                expected.append(json.dumps(
-                    {"word": r.word, "prefix": r.prefix, "stem": r.stem, "suffix": r.suffix,
-                     "applied": list(r.applied), "exception": r.exception_hit},
-                    ensure_ascii=False,
-                ))
-            else:
-                expected.append("\t".join(
-                    (r.word, (r.prefix or "").strip(), r.stem, (r.suffix or "").strip())
-                ))
         argv = ["stem", str(p), "--rules", data.path(data.DEFAULT_RULES)]
         code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
         assert code == 0 and err == ""
-        assert out == "".join(line + "\n" for line in expected)
+        assert out == reference_output(words, default_rules, as_json)
 
     @given(
         word=_JSON_FIELD, stem=_JSON_FIELD,
@@ -192,6 +207,117 @@ class TestStem:
             capsys, "stem", str(tmp_path / "nope.txt"), "--rules", data.path(data.DEFAULT_RULES)
         )
         assert code == 2 and err
+
+
+# Words that recur on both sides of every block edge; "بد نصیب" only as a
+# pretokenized line, since the tokenizer splits it.
+_BLOCK_WORDS = ["لڑکوں", "کتابیں", "علاقوں", "فاصلے", "نوجوان", "کتاب", "لڑکیاں"]
+_BLOCK_COUNTS = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+
+
+class _Writes:
+    """A stdout that records each ``write`` call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+        return len(text)
+
+
+def _block_words(n, pretokenized):
+    vocab = _BLOCK_WORDS + ["بد نصیب"] * pretokenized
+    return [vocab[i % len(vocab)] for i in range(n)]
+
+
+class TestBlocks:
+    """``stem`` writes its output in blocks of ``_BLOCK`` tokens."""
+
+    @pytest.mark.parametrize("n", _BLOCK_COUNTS)
+    @pytest.mark.parametrize("mode", [(), ("--json",), ("--pretokenized",), ("--pretokenized", "--json")],
+                             ids=["tsv", "json", "pretokenized", "pretokenized-json"])
+    def test_output_equals_one_stem_word_call_per_token(self, capsys, tmp_path, default_rules, n, mode):
+        words = _block_words(n, "--pretokenized" in mode)
+        p = tmp_path / "in.txt"
+        p.write_text(("\n" if "--pretokenized" in mode else " ").join(words) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "stem", str(p), "--rules", data.path(data.DEFAULT_RULES), *mode)
+        assert code == 0 and err == ""
+        assert out == reference_output(words, default_rules, "--json" in mode)
+
+    @pytest.mark.parametrize("n", _BLOCK_COUNTS)
+    def test_one_write_per_block(self, tmp_path, default_rules, n):
+        words = _block_words(n, True)
+        p = tmp_path / "in.txt"
+        p.write_text("".join(w + "\n" for w in words), encoding="utf-8")
+        stdout = _Writes()
+        with redirect_stdout(stdout):
+            code = main(["stem", str(p), "--rules", data.path(data.DEFAULT_RULES), "--pretokenized"])
+        assert code == 0
+        assert len(stdout.calls) == math.ceil(n / _BLOCK)
+        assert all(call.count("\n") <= _BLOCK for call in stdout.calls)
+        assert "".join(stdout.calls) == reference_output(words, default_rules, False)
+
+    def test_tab_past_the_first_block_writes_nothing(self, tmp_path):
+        words = _block_words(_BLOCK + 5, True)
+        words[_BLOCK + 2] = "بد\tنصیب"
+        p = tmp_path / "in.txt"
+        p.write_text("".join(w + "\n" for w in words), encoding="utf-8")
+        stdout, stderr = _Writes(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(["stem", str(p), "--rules", data.path(data.DEFAULT_RULES), "--pretokenized"])
+        assert code == 2 and stdout.calls == []
+        assert f"line {_BLOCK + 3}: tab or CR inside a word" in stderr.getvalue()
+
+    def test_peak_memory_is_a_few_times_the_output(self, tmp_path):
+        """The traced peak of ``main`` on all-distinct words with ``--json``
+        stays under six times the UTF-8 size of its output.  Holding the
+        results, their lines and the joined output at once reads about 9.3
+        times; one line per word in place of its result, written in
+        blocks, about 4.3."""
+        rng = random.Random(21)
+        words = set()
+        while len(words) < 6000:
+            words.add(random_word(rng, 3, 10))
+        p, out_path = tmp_path / "in.txt", tmp_path / "out.jsonl"
+        p.write_text("".join(w + "\n" for w in sorted(words)), encoding="utf-8")
+        argv = ["stem", str(p), "--rules", data.path(data.DEFAULT_RULES), "--pretokenized", "--json"]
+
+        def stem():
+            with open(out_path, "w", encoding="utf-8") as out, redirect_stdout(out):
+                return main(argv)
+
+        stem()  # loads what every later call reuses, such as the JSON escaper
+        tracemalloc.start()
+        try:
+            code = stem()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak / out_path.stat().st_size < 6
+
+
+class TestOutputEncoding:
+    """Output is UTF-8 whatever encoding the locale gives stdout."""
+
+    @pytest.mark.parametrize("argv, stdin", [
+        (["stem", "-", "--rules", data.path(data.DEFAULT_RULES)], "abc " * 1100 + "لڑکوں، کتابیں\n"),
+        (["stem", "-", "--rules", data.path(data.DEFAULT_RULES), "--json"], "abc " * 1100 + "لڑکوں\n"),
+        (["gen", "--lexicon", data.path(data.GROUP1_LEXICON)], ""),
+        (["rules", "list", "--rules", data.path(data.DEFAULT_RULES)], ""),
+    ], ids=["stem", "stem-json", "gen", "rules-list"])
+    def test_ascii_stdout_writes_the_utf8_bytes(self, argv, stdin):
+        def run_cli(encoding):
+            env = {**os.environ, "PYTHONIOENCODING": encoding,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+            return subprocess.run([sys.executable, "-m", "urdustem.cli", *argv], input=stdin.encode("utf-8"),
+                                  env=env, capture_output=True, timeout=60)
+
+        ascii_run, utf8_run = run_cli("ascii"), run_cli("utf-8")
+        assert ascii_run.returncode == 0, ascii_run.stderr.decode("utf-8", "replace")
+        assert utf8_run.returncode == 0 and not utf8_run.stdout.isascii()
+        assert ascii_run.stdout == utf8_run.stdout
 
 
 class TestEval:
