@@ -9,8 +9,9 @@ Subcommands::
 
 Exit codes: 0 success, 1 validation failure (bad rule file), 2
 input/alignment error.  Every error is raised before the first byte of
-output, so stdout stays empty unless the exit code is 0.  Output is UTF-8
-whatever the locale, and ``stem`` writes it in blocks of ``_BLOCK`` tokens.
+output, so stdout stays empty unless the exit code is 0.  Output and error
+messages are UTF-8 whatever the locale, and ``stem`` writes its output in
+blocks of ``_BLOCK`` tokens.
 
 Start-up imports only what ``stem`` needs: ``eval`` and ``gen`` import
 ``evaluation`` and ``morphology`` when they run, and ``stem --json``
@@ -227,10 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Every format the CLI writes is UTF-8, whatever the locale says.  A
+    # Everything the CLI writes, output and error messages alike, is UTF-8,
+    # whatever the locale says; each stream keeps its own error handler.  A
     # StringIO or other text sink without reconfigure is left as it is.
-    if getattr(sys.stdout, "reconfigure", None) and codecs.lookup(sys.stdout.encoding).name != "utf-8":
-        sys.stdout.reconfigure(encoding="utf-8")
+    for stream in (sys.stdout, sys.stderr):
+        if getattr(stream, "reconfigure", None) and codecs.lookup(stream.encoding).name != "utf-8":
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

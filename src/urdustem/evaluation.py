@@ -5,7 +5,9 @@ Each wrong answer is classified by comparing grapheme clusters:
 under-stemming when the expected stem's clusters occur in order, gaps
 allowed, inside the produced stem and are fewer; over-stemming when the
 produced stem's clusters occur that way inside the expected stem; other
-when neither holds (e.g. a recoding divergence).
+when neither holds (e.g. a recoding divergence).  Two stems made only of
+letters are compared by code point, which gives the same result, since
+the clusters of letters-only text are its code points.
 """
 
 import json
@@ -72,9 +74,13 @@ def _is_correct(result: StemResult, gold: GoldEntry, stem_only: bool) -> bool:
             and shown_affix(result.suffix) == shown_affix(gold.expected_suffix))
 
 
-def _proper_subsequence(needle: list[str], haystack: list[str]) -> bool:
+def _proper_subsequence(needle, haystack) -> bool:
     """True when the clusters of *needle* occur in order (gaps allowed)
-    in *haystack* and *needle* has fewer clusters."""
+    in *haystack* and *needle* has fewer clusters.
+
+    Both are lists of clusters, or both are letters-only strings, whose
+    code points are their clusters.
+    """
     if len(needle) >= len(haystack):
         return False
     it = iter(haystack)
@@ -97,8 +103,9 @@ def classify_error(result: StemResult, gold: GoldEntry, stem_only: bool = False)
         raise EvalError("gold word and expected_stem must be non-empty")
     if _is_correct(result, gold, stem_only):
         return ErrorClass.CORRECT
-    expected = graphemes.split(gold.expected_stem)
-    produced = graphemes.split(result.stem)
+    expected, produced = gold.expected_stem, result.stem
+    if not (expected.isalpha() and produced.isalpha()):
+        expected, produced = graphemes.split(expected), graphemes.split(produced)
     if _proper_subsequence(expected, produced):
         return ErrorClass.UNDER_STEMMING
     if _proper_subsequence(produced, expected):
@@ -206,21 +213,27 @@ def parse_gold_file(text: str, strip_diacritics: bool = False) -> list[GoldEntry
     letters as ``stem`` does, and strips harakat from every field when
     *strip_diacritics* is set, as ``stem`` does by default (``eval``
     passes its ``--strip-diacritics``); a CR inside a line is rejected.
+    Each distinct line is parsed once: repeated lines share one entry.
     """
     entries: list[GoldEntry] = []
+    # Good lines only, so the first bad line raises with its own number.
+    parsed: dict[str, GoldEntry] = {}
     for lineno, line in data_lines(text, GoldFileError, strip_diacritics):
-        if line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) < 2 or len(fields) > 4:
-            raise GoldFileError(f"expected 2-4 tab-separated fields, got {len(fields)}", lineno)
-        word, stem, prefix, suffix = fields + [""] * (4 - len(fields))
-        word = word.strip()
-        if not word or not stem:
-            raise GoldFileError("gold word and expected_stem must be non-empty", lineno)
-        if word.startswith("#"):  # indented; written back, it would read as a comment
-            raise GoldFileError(f"word {word!r} starts with '#', which reads as a comment", lineno)
-        entries.append(GoldEntry(word, stem, prefix or None, suffix or None))
+        entry = parsed.get(line)
+        if entry is None:
+            if line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) < 2 or len(fields) > 4:
+                raise GoldFileError(f"expected 2-4 tab-separated fields, got {len(fields)}", lineno)
+            word, stem, prefix, suffix = fields + [""] * (4 - len(fields))
+            word = word.strip()
+            if not word or not stem:
+                raise GoldFileError("gold word and expected_stem must be non-empty", lineno)
+            if word.startswith("#"):  # indented; written back, it would read as a comment
+                raise GoldFileError(f"word {word!r} starts with '#', which reads as a comment", lineno)
+            entry = parsed[line] = GoldEntry(word, stem, prefix or None, suffix or None)
+        entries.append(entry)
     return entries
 
 

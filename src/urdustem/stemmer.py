@@ -33,10 +33,12 @@ class StemConfig(Record):
 
     The defaults (one suffix, then one prefix) reproduce the behaviour of
     a single-strip stemmer while still letting words that carry both a
-    prefix and a suffix shed both.
+    prefix and a suffix shed both.  ``phases`` (not a field) is the
+    ``(suffix, passes)`` pair of each phase in the order they run.
     """
 
-    __slots__ = _fields = ("max_suffix_passes", "max_prefix_passes", "order")
+    __slots__ = ("max_suffix_passes", "max_prefix_passes", "order", "phases")
+    _fields = __slots__[:3]
 
     def __init__(
         self, max_suffix_passes: int = 1, max_prefix_passes: int = 1, order: str = SUFFIX_FIRST
@@ -46,8 +48,9 @@ class StemConfig(Record):
                 raise ValueError(f"passes must be in 0..{MAX_PASSES}, got {n}")
         if order not in (SUFFIX_FIRST, PREFIX_FIRST):
             raise ValueError(f"order must be {SUFFIX_FIRST!r} or {PREFIX_FIRST!r}")
+        phases = ((True, max_suffix_passes), (False, max_prefix_passes))
         self._set(max_suffix_passes=max_suffix_passes, max_prefix_passes=max_prefix_passes,
-                  order=order)
+                  order=order, phases=phases[::-1] if order == PREFIX_FIRST else phases)
 
 
 DEFAULT_CONFIG = StemConfig()
@@ -133,15 +136,10 @@ def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemR
     if word in rs.exceptions:
         return StemResult(word=word, stem=word, exception_hit=True)
 
-    phases = ((True, cfg.max_suffix_passes), (False, cfg.max_prefix_passes))
-    if cfg.order == PREFIX_FIRST:
-        phases = phases[::-1]
-
     stem, n = word, graphemes.count(word)
     applied: list[str] = []
-    prefix_parts: list[str] = []
-    suffix_parts: list[str] = []
-    for suffix, passes in phases:
+    prefixes = suffixes = ""
+    for suffix, passes in cfg.phases:
         buckets = rs.buckets[suffix]
         for _ in range(passes):
             hit = _scan(stem, n, buckets, suffix)
@@ -152,16 +150,14 @@ def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemR
             if suffix:
                 # Later-stripped suffixes sit closer to the stem, i.e.
                 # earlier in logical order.
-                suffix_parts.insert(0, rule.pattern)
+                suffixes = rule.pattern + suffixes
             else:
-                prefix_parts.append(rule.pattern)
+                prefixes += rule.pattern
 
-    return StemResult(
-        word=word,
-        stem=stem,
-        prefix="".join(prefix_parts) or None,
-        suffix="".join(suffix_parts) or None,
-        applied=tuple(applied),
+    # Built positionally in C: the NamedTuple's keyword-parsing __new__ is
+    # Python code, several times the cost of tuple.__new__ per word.
+    return tuple.__new__(
+        StemResult, (word, stem, prefixes or None, suffixes or None, tuple(applied), False)
     )
 
 

@@ -299,7 +299,8 @@ class TestBlocks:
 
 
 class TestOutputEncoding:
-    """Output is UTF-8 whatever encoding the locale gives stdout."""
+    """Output and error messages are UTF-8 whatever encoding the locale
+    gives stdout and stderr."""
 
     @pytest.mark.parametrize("argv, stdin", [
         (["stem", "-", "--rules", data.path(data.DEFAULT_RULES)], "abc " * 1100 + "لڑکوں، کتابیں\n"),
@@ -318,6 +319,18 @@ class TestOutputEncoding:
         assert ascii_run.returncode == 0, ascii_run.stderr.decode("utf-8", "replace")
         assert utf8_run.returncode == 0 and not utf8_run.stdout.isascii()
         assert ascii_run.stdout == utf8_run.stdout
+
+    @pytest.mark.parametrize("encoding", ["ascii", "utf-8"])
+    def test_error_message_is_utf8(self, encoding):
+        # The exception word has a space at its edge, so validation fails
+        # and the message quotes it.
+        env = {**os.environ, "PYTHONIOENCODING": encoding,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "urdustem.cli", "rules", "validate", "--rules", "-"],
+                              input="#!exception\t کتاب\n".encode("utf-8"), env=env,
+                              capture_output=True, timeout=60)
+        assert proc.returncode == 1 and proc.stdout == b""
+        assert " کتاب".encode("utf-8") in proc.stderr, proc.stderr
 
 
 class TestEval:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from urdustem import graphemes
+from urdustem.corpus import data_lines
 from urdustem.evaluation import (
     ErrorClass,
     EvalError,
@@ -21,7 +22,7 @@ from urdustem.evaluation import (
     summarize,
 )
 from urdustem.graphemes import ZWNJ
-from urdustem.stemmer import StemResult, stem_word
+from urdustem.stemmer import StemResult, shown_affix, stem_word
 
 from conftest import random_word
 
@@ -328,3 +329,135 @@ class TestGoldFile:
             with pytest.raises(GoldFileError) as exc_info:
                 parse_gold_file(text)
             assert exc_info.value.line == 2
+
+
+def _parse_gold_lines_alone(text, strip_diacritics):
+    """Reference: the gold-file rule applied to every line on its own, with no
+    memo; returns the ``(line, entry)`` pairs in file order."""
+    pairs = []
+    for lineno, line in data_lines(text, GoldFileError, strip_diacritics):
+        if line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) < 2 or len(fields) > 4:
+            raise GoldFileError(f"expected 2-4 tab-separated fields, got {len(fields)}", lineno)
+        word, stem, prefix, suffix = fields + [""] * (4 - len(fields))
+        word = word.strip()
+        if not word or not stem:
+            raise GoldFileError("gold word and expected_stem must be non-empty", lineno)
+        if word.startswith("#"):
+            raise GoldFileError(f"word {word!r} starts with '#', which reads as a comment", lineno)
+        pairs.append((line, GoldEntry(word, stem, prefix or None, suffix or None)))
+    return pairs
+
+
+_GOOD_GOLD_LINES = [
+    "قلم\tقلم",  # 2 fields
+    "نوجوان\tجوان\tنو",  # 3 fields
+    "کتابیں\tکتاب\t\tیں",  # 4 fields
+    "علاقوں\tعلاقہ\t\tوں\r",  # CRLF
+    "كتابيں\tكتاب\t\tيں",  # Arabic letters, unified on read
+    "کتاب\u064eیں\tکتاب\t\tیں",  # a fatha, stripped only with strip_diacritics
+    "  کتابیں\tکتاب\t\tیں",  # a space-led word, trimmed
+    " قلم \tقلم ",  # trimmed word, untrimmed stem
+    "# a comment",
+    "#قلم\tقلم",  # a comment, though it has fields
+    "",
+    "   ",
+]
+_BAD_GOLD_LINES = [
+    "قلم",  # 1 field
+    "قلم\tقلم\t\t\tں",  # 5 fields
+    "قلم\t",  # empty stem
+    " \tقلم",  # word of whitespace only
+    " #کتاب\tکتاب",  # word trimmed to '#'
+    "لڑ\rکا\tلڑکا",  # CR inside the line
+]
+
+
+@st.composite
+def _gold_texts(draw):
+    """Gold text from a small pool of lines, repeats likely, with at most one
+    distinct bad line, which may repeat."""
+    lines = draw(st.lists(st.sampled_from(_GOOD_GOLD_LINES), max_size=14))
+    bad = draw(st.none() | st.sampled_from(_BAD_GOLD_LINES))
+    if bad is not None:
+        for _ in range(draw(st.integers(1, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), bad)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestGoldFileAgainstLineByLine:
+    @settings(max_examples=400, deadline=None)
+    @given(text=_gold_texts(), strip_diacritics=st.booleans())
+    @example(text="قلم\tقلم\nقلم\nقلم\tقلم\nقلم\n", strip_diacritics=False)
+    def test_entries_errors_and_sharing_match_the_reference(self, text, strip_diacritics):
+        try:
+            pairs = _parse_gold_lines_alone(text, strip_diacritics)
+        except GoldFileError as expected:
+            with pytest.raises(GoldFileError) as got:
+                parse_gold_file(text, strip_diacritics)
+            assert (str(got.value), got.value.line) == (str(expected), expected.line)
+            return
+        entries = parse_gold_file(text, strip_diacritics)
+        assert entries == [entry for _, entry in pairs]
+        first = {}
+        for (line, _), entry in zip(pairs, entries):
+            assert first.setdefault(line, entry) is entry  # equal lines, one entry
+
+
+def _cluster_classify(result, gold, stem_only):
+    """Reference: the class by the rule written out, always comparing the
+    grapheme clusters of ``graphemes.split``."""
+    if result.stem == gold.expected_stem and (stem_only or (
+            (shown_affix(result.prefix), shown_affix(result.suffix))
+            == (shown_affix(gold.expected_prefix), shown_affix(gold.expected_suffix)))):
+        return ErrorClass.CORRECT
+    expected, produced = graphemes.split(gold.expected_stem), graphemes.split(result.stem)
+
+    def proper_subsequence(needle, haystack):
+        it = iter(haystack)
+        return len(needle) < len(haystack) and all(g in it for g in needle)
+
+    if proper_subsequence(expected, produced):
+        return ErrorClass.UNDER_STEMMING
+    if proper_subsequence(produced, expected):
+        return ErrorClass.OVER_STEMMING
+    return ErrorClass.OTHER
+
+
+_STEM_LETTERS = "ابتوکیںہ"
+# Fatha, damma, kasra and shadda, then ZWNJ and ZWJ: none is a letter.
+_STEM_MARKS = "\u064e\u064f\u0650\u0651" + ZWNJ + graphemes.ZWJ
+
+
+@st.composite
+def _stem_pairs(draw):
+    """A result and a gold entry whose stems are letters only, or hold marks
+    and joiners, often one inside the other."""
+    alphabet = draw(st.sampled_from([_STEM_LETTERS, _STEM_LETTERS + _STEM_MARKS]))
+    word = draw(st.text(alphabet=alphabet, min_size=1, max_size=8))
+
+    def stem():
+        kind = draw(st.sampled_from(["kept", "letters", "marked"]))
+        if kind == "kept":  # drop some code points of the word
+            keep = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+            kept = "".join(ch for ch, k in zip(word, keep) if k)
+            if kept:
+                return kept
+        letters = _STEM_LETTERS + (_STEM_MARKS if kind == "marked" else "")
+        return draw(st.text(alphabet=letters, min_size=1, max_size=6))
+
+    affix = st.sampled_from([None, "ں", "وں", " وں"])
+    return (result(word, stem(), draw(affix), draw(affix)),
+            GoldEntry(word, stem(), draw(affix), draw(affix)))
+
+
+class TestClassifyAgainstClusters:
+    @settings(max_examples=1000, deadline=None)
+    @given(case=_stem_pairs(), stem_only=st.booleans())
+    @example(case=(result("کتاب", "کتا"), GoldEntry("کتاب", "کت\u064eا")), stem_only=False)
+    @example(case=(result("کتاب", "کتاب"), GoldEntry("کتاب", "کتب")), stem_only=True)
+    def test_class_equals_the_cluster_comparison(self, case, stem_only):
+        res, gold = case
+        assert classify_error(res, gold, stem_only) is _cluster_classify(res, gold, stem_only)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import unicodedata
 
@@ -14,6 +16,7 @@ from urdustem.stemmer import (
     SUFFIX_FIRST,
     StemConfig,
     StemError,
+    StemResult,
     stem_batch,
     stem_word,
 )
@@ -138,6 +141,23 @@ class TestConfig:
         cfg = StemConfig(order=PREFIX_FIRST)
         res = stem_word("لاچاری", rs, cfg)
         assert res.prefix == "لا" and res.suffix == "ی" and res.stem == "چار"
+
+    @pytest.mark.parametrize("order", [SUFFIX_FIRST, PREFIX_FIRST])
+    def test_phases_is_derived_and_outside_equality(self, order):
+        cfg = StemConfig(2, 3, order)
+        suffix_first = ((True, 2), (False, 3))
+        assert cfg.phases == (suffix_first if order == SUFFIX_FIRST else suffix_first[::-1])
+        assert "phases" not in StemConfig._fields
+        assert repr(cfg) == f"StemConfig(max_suffix_passes=2, max_prefix_passes=3, order={order!r})"
+        twin = StemConfig(max_suffix_passes=2, max_prefix_passes=3, order=order)
+        assert cfg == twin and hash(cfg) == hash(twin)
+        assert hash(cfg) == hash((2, 3, order))
+        assert cfg != StemConfig(3, 2, order)
+        for clone in (pickle.loads(pickle.dumps(cfg)), copy.copy(cfg)):
+            assert clone == cfg and clone.phases == cfg.phases
+        assert cfg.__reduce__() == (StemConfig, (2, 3, order))
+        with pytest.raises(AttributeError):
+            cfg.phases = ()
 
 
 class TestSingleSplit:
@@ -293,6 +313,12 @@ class TestAgainstOracle:
                 suffix_passes=suffix_passes, prefix_passes=prefix_passes, order=order,
             )
             assert (got.prefix, got.stem, got.suffix, got.exception_hit, got.applied) == expected
+            # stem_word builds its result positionally: it must still be a
+            # plain StemResult equal to the one built by keyword.
+            prefix, stem, suffix, exception_hit, applied = expected
+            assert type(got) is StemResult
+            assert got == StemResult(word=word, stem=stem, prefix=prefix, suffix=suffix,
+                                     applied=applied, exception_hit=exception_hit)
             most_applied = max(most_applied, len(got.applied))
         assert most_applied >= min(2, suffix_passes + prefix_passes)
 
