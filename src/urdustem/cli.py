@@ -8,10 +8,11 @@ Subcommands::
     urdustem gen   --lexicon FILE            synthesize a gold corpus
 
 Exit codes: 0 success, 1 validation failure (bad rule file), 2
-input/alignment error.  Every error is raised before the first byte of
-output, so stdout stays empty unless the exit code is 0.  Output and error
-messages are UTF-8 whatever the locale, and ``stem`` writes its output in
-blocks of ``_BLOCK`` tokens.
+input/alignment error, 141 (128 + SIGPIPE, with nothing on stderr) when
+the reader of stdout closes it early.  Every error is raised before the
+first byte of output, so stdout stays empty unless the exit code is 0 or
+141.  Output and error messages are UTF-8 whatever the locale, and
+``stem`` writes its output in blocks of ``_BLOCK`` tokens.
 
 Start-up imports only what ``stem`` needs: ``eval`` and ``gen`` import
 ``evaluation`` and ``morphology`` when they run, and ``stem --json``
@@ -20,6 +21,7 @@ imports its string escaper from ``json.encoder``.
 
 import argparse
 import codecs
+import os
 import sys
 
 from urdustem import corpus
@@ -37,6 +39,7 @@ from urdustem.stemmer import (
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool that SIGPIPE stopped
 
 # Tokens per stdout write: stem holds one joined block beside its lines, not
 # the whole output, and writing the whole output at once was no faster.
@@ -70,15 +73,15 @@ def _parse_bool(value: str) -> bool:
 
 
 def _read_input(path: str) -> str:
-    # The BOM is dropped after a strict decode, not by "utf-8-sig", so that
-    # an error offset counts from the first byte of the file.
+    # Strict, not "utf-8-sig", so that an error offset counts from the first
+    # byte; cmd_stem and corpus.data_lines each drop the one leading BOM.
     try:
         if path == "-":
             data = sys.stdin.buffer.read()
         else:
             with open(path, "rb") as f:
                 data = f.read()
-        return data.decode("utf-8").removeprefix("\ufeff")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CliError(f"{path}: invalid UTF-8 at byte {exc.start}", EXIT_INPUT) from exc
     except OSError as exc:
@@ -111,7 +114,7 @@ def _stem_config(args) -> StemConfig:
 def cmd_stem(args) -> int:
     rs = _load_rules(args.rules)
     cfg = _stem_config(args)
-    text = corpus.normalize(_read_input(args.input), strip_diacritics=args.strip_diacritics)
+    text = corpus.normalize(_read_input(args.input).removeprefix("\ufeff"), args.strip_diacritics)
     if args.pretokenized:
         words = [w for w in map(str.strip, text.split("\n")) if w]
         if "\t" in text or "\r" in text:
@@ -236,10 +239,17 @@ def main(argv=None) -> int:
             stream.reconfigure(encoding="utf-8", errors=stream.errors)
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe is seen here, not at exit
+        return code
     except CliError as exc:
         print(f"urdustem: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  What is still buffered goes
+        # to devnull, so that the flush at interpreter exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

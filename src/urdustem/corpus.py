@@ -52,7 +52,7 @@ def normalize(text: str, strip_diacritics: bool = True) -> str:
 def data_lines(text: str, error, strip_diacritics: bool = False) -> Iterator[tuple[int, str]]:
     """Yield ``(lineno, line)`` for each non-blank line of a data file.
 
-    The framing every data file shares (rule, gold and lexicon): a leading
+    The framing every data file shares (rule, gold and lexicon): one leading
     UTF-8 byte-order mark is dropped, letters are unified as ``stem``
     unifies them, marks kept unless *strip_diacritics* is set (one
     ``normalize(text, strip_diacritics)`` pass), lines are split on LF

@@ -163,13 +163,13 @@ def parse_lexicon_file(text: str):
         if line.startswith("#"):
             continue
         fields = line.split("\t")
-        if len(fields) != 2 or not fields[1]:
-            raise ParadigmError(f"line {lineno}: expected 'category<TAB>lemma'")
-        category, lemma = fields[0], fields[1].strip()
-        if lemma.startswith("#"):
-            raise ParadigmError(f"line {lineno}: lemma {lemma!r} starts with '#', "
-                                "which a gold file reads as a comment")
         try:
+            if len(fields) != 2:
+                raise ParadigmError("expected 'category<TAB>lemma'")
+            category, lemma = fields[0], fields[1].strip()
+            if lemma.startswith("#"):
+                raise ParadigmError(f"lemma {lemma!r} starts with '#', "
+                                    "which a gold file reads as a comment")
             if category not in _CATEGORIES:
                 raise ParadigmError(f"unknown category {category!r}")
             items.append(_CATEGORIES[category](lemma))

@@ -170,64 +170,52 @@ def parse_rule_file(text: str) -> RuleSet:
     default_min_stem = DEFAULT_MIN_STEM
 
     for lineno, line in data_lines(text, RuleParseError):
-        if line.startswith("#!"):
-            fields = line.split("\t")
-            directive = fields[0]
-            if directive == "#!exception":
-                if len(fields) != 2 or not fields[1]:
-                    raise RuleParseError("#!exception needs one non-empty word", lineno)
-                try:  # RuleSet's checks on the word, reported with its line
-                    exceptions |= RuleSet((), {fields[1]}).exceptions
-                except ValueError as exc:
-                    raise RuleParseError(str(exc), lineno) from None
-            elif directive == "#!default-min-stem":
-                value = fields[1] if len(fields) == 2 else ""
-                if not (value.isascii() and value.isdigit() and int(value) >= 1):
-                    raise RuleParseError("#!default-min-stem needs a positive integer", lineno)
-                default_min_stem = int(value)
-            else:
-                raise RuleParseError(f"unknown directive {directive!r}", lineno)
+        if line.startswith("#") and not line.startswith("#!"):
             continue
-        if line.startswith("#"):
-            continue
-
         fields = line.split("\t")
-        if len(fields) < 2 or len(fields) > 4:
-            raise RuleParseError(f"expected 2-4 tab-separated fields, got {len(fields)}", lineno)
-        if len(fields) == 3 and fields[2].isascii() and fields[2].isdigit():
-            fields.insert(2, "")  # a bare digit field is min_stem, not a replacement
-        kind_field, pattern, replacement, min_field = fields + [None] * (4 - len(fields))
-        try:
-            kind = AffixKind(kind_field)
-        except ValueError:
-            raise RuleParseError(f"kind must be P or S, got {kind_field!r}", lineno) from None
-        if not pattern:
-            raise RuleParseError("empty affix pattern", lineno)
-
-        min_stem = None if min_field is None else _parse_min_stem(min_field, lineno)
-
-        try:
-            rule = AffixRule(kind, pattern, replacement or "", min_stem)
+        try:  # each check raises ValueError, reported here with the line number
+            if fields[0] == "#!exception":
+                if len(fields) != 2 or not fields[1]:
+                    raise ValueError("#!exception needs one non-empty word")
+                exceptions |= RuleSet((), {fields[1]}).exceptions  # RuleSet's checks on the word
+                continue
+            if fields[0] == "#!default-min-stem":
+                value = _ascii_int(fields[1]) if len(fields) == 2 else None
+                if not value:
+                    raise ValueError("#!default-min-stem needs a positive integer")
+                default_min_stem = value
+                continue
+            if line.startswith("#!"):
+                raise ValueError(f"unknown directive {fields[0]!r}")
+            if len(fields) < 2 or len(fields) > 4:
+                raise ValueError(f"expected 2-4 tab-separated fields, got {len(fields)}")
+            if len(fields) == 3 and _ascii_int(fields[2]) is not None:
+                fields.insert(2, "")  # a bare digit field is min_stem, not a replacement
+            kind, pattern, replacement, min_field = fields + [None] * (4 - len(fields))
+            if kind not in ("P", "S"):
+                raise ValueError(f"kind must be P or S, got {kind!r}")
+            if not pattern:
+                raise ValueError("empty affix pattern")
+            min_stem = None if min_field is None else _ascii_int(min_field)
+            if min_field is not None and not min_stem:
+                raise ValueError(f"min_stem must be a positive integer, got {min_field!r}")
+            rule = AffixRule(AffixKind(kind), pattern, replacement or "", min_stem)
         except ValueError as exc:
             raise RuleParseError(str(exc), lineno) from None
 
-        key = (kind, pattern)
-        if key in first_line:
-            raise RuleParseError(
-                f"duplicate rule {rule.rule_id} (first defined on line {first_line[key]})",
-                lineno,
-                other_line=first_line[key],
-            )
-        first_line[key] = lineno
+        # Raised outside the try, since RuleParseError is itself a ValueError.
+        first = first_line.setdefault((rule.kind, pattern), lineno)
+        if first != lineno:
+            raise RuleParseError(f"duplicate rule {rule.rule_id} (first defined on line {first})",
+                                 lineno, other_line=first)
         rules.append(rule)
 
     return RuleSet(tuple(rules), frozenset(exceptions), default_min_stem)
 
 
-def _parse_min_stem(text: str, lineno: int) -> int:
-    if not text.isascii() or not text.isdigit() or int(text) < 1:
-        raise RuleParseError(f"min_stem must be a positive integer, got {text!r}", lineno)
-    return int(text)
+def _ascii_int(text: str) -> int | None:
+    """The value of *text* if it is all ASCII digits, else None."""
+    return int(text) if text.isascii() and text.isdigit() else None
 
 
 def _rule_fields(rule: AffixRule) -> list[str]:

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import unicodedata
 from contextlib import redirect_stderr, redirect_stdout
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -13,10 +14,11 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from urdustem import data
-from urdustem.cli import _BLOCK, _json_line, main
-from urdustem.graphemes import ZWNJ
-from urdustem.stemmer import StemResult, stem_word
+from urdustem import corpus, data, evaluation, morphology
+from urdustem.cli import _BLOCK, EXIT_PIPE, _json_line, main
+from urdustem.graphemes import ZWJ, ZWNJ
+from urdustem.rules import RuleParseError, parse_rule_file
+from urdustem.stemmer import StemConfig, StemResult, stem_batch, stem_word
 
 from conftest import DIACRITICS, URDU_LETTERS, random_word
 
@@ -224,6 +226,9 @@ class _Writes:
     def write(self, text):
         self.calls.append(text)
         return len(text)
+
+    def flush(self):
+        pass
 
 
 def _block_words(n, pretokenized):
@@ -601,3 +606,112 @@ class TestContract:
                 code = exc.code
         assert code in (0, 1, 2), err.getvalue()
         assert code == 0 or out.getvalue() == ""
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["tsv", "json"])
+    def test_reader_closing_the_pipe_exits_141_quietly(self, tmp_path, mode):
+        # The output, over 1 MB, is far larger than a pipe buffer, so stem is
+        # still writing when its reader goes away.
+        p = tmp_path / "big.txt"
+        p.write_text("علاقوں کتابیں لڑکوں " * 20000 + "\n", encoding="utf-8")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "urdustem.cli", "stem", str(p), "--rules",
+             data.path(data.DEFAULT_RULES), *mode],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == EXIT_PIPE == 141
+        assert err == b"" and "علاقوں".encode("utf-8") in first
+
+
+class TestPassBound:
+    @pytest.mark.parametrize("value", ["-1", "5"])
+    @pytest.mark.parametrize("flag", ["--suffix-passes", "--prefix-passes"])
+    @pytest.mark.parametrize("command", ["stem", "eval"])
+    def test_pass_count_outside_0_to_4_exits_2(self, capsys, tmp_path, command, flag, value):
+        p = tmp_path / "gold.tsv"
+        p.write_text("لڑکوں\tلڑک\n", encoding="utf-8")
+        rules = data.path(data.DEFAULT_RULES)
+        argv = (["stem", str(p), "--rules", rules] if command == "stem"
+                else ["eval", "--rules", rules, "--gold", str(p)])
+        code, out, err = run(capsys, *argv, flag, value)
+        assert code == 2 and out == ""
+        assert "0..4" in err
+
+
+# One data file per command that reads it.
+_DATA_FILES = {"rules": "S\tوں\n", "eval": "لڑکوں\tلڑک\t\tوں\n", "gen": "noun\tلڑکا\n"}
+
+
+def _library_run(command, text):
+    """The exit code, stdout and error message of *command* on a data file
+    holding *text*, from library calls on that text as it is."""
+    try:
+        if command == "rules":
+            rs = parse_rule_file(text)
+            return 0, (f"ok: {rs.suffix_count} suffixes, {rs.prefix_count} prefixes, "
+                       f"{len(rs.exceptions)} exceptions\n"), ""
+        if command == "eval":
+            gold = evaluation.parse_gold_file(text, strip_diacritics=True)
+            results = stem_batch([g.word for g in gold], data.load_rules(data.DEFAULT_RULES), StemConfig())
+            report = evaluation.evaluate(results, gold)
+            return 0, evaluation.summarize(report) + "\n" + evaluation.report_kv(report), ""
+        lexicon = morphology.parse_lexicon_file(text)
+        return 0, evaluation.gold_to_tsv(morphology.generate_gold(lexicon)), ""
+    except RuleParseError as exc:
+        return 1, "", str(exc)
+    except (evaluation.GoldFileError, morphology.ParadigmError) as exc:
+        return 2, "", str(exc)
+
+
+class TestByteOrderMark:
+    """The CLI drops the one leading BOM that the library drops from a data
+    file, and no more: a second U+FEFF is content to both."""
+
+    @pytest.mark.parametrize("boms", [0, 1, 2])
+    @pytest.mark.parametrize("command", sorted(_DATA_FILES))
+    def test_cli_reads_a_data_file_as_the_library_does(self, capsys, tmp_path, command, boms):
+        text = "\ufeff" * boms + _DATA_FILES[command]
+        p = tmp_path / command
+        p.write_bytes(text.encode("utf-8"))
+        argv = {"rules": ["rules", "validate", "--rules", str(p)],
+                "eval": ["eval", "--rules", data.path(data.DEFAULT_RULES), "--gold", str(p)],
+                "gen": ["gen", "--lexicon", str(p)]}[command]
+        code, out, err = run(capsys, *argv)
+        expected_code, expected_out, message = _library_run(command, text)
+        assert (code, out) == (expected_code, expected_out)
+        assert err == (f"urdustem: {p}: {message}\n" if message else "")
+
+
+# Text that normalizing, tokenizing or trimming could leave empty or
+# non-NFC: harakat and tatweel (stripped or kept), ZWNJ, ZWJ and Latin
+# combining marks (extenders), Latin letters they compose with, Hangul jamo
+# (which NFC composes), CR, tab, space and U+FEFF.  Lines are tab-joined
+# fields, so that some of them are gold lines.
+_WORD_CHARS = [*URDU_LETTERS, *DIACRITICS, "\u0640", ZWNJ, ZWJ, "\u0301", "\u0327", "a", "e",
+               "\u1100", "\u1161", "\u11a8", "\r", "\t", " ", "\ufeff"]
+_FIELD = st.text(alphabet=st.sampled_from(_WORD_CHARS), min_size=1, max_size=6)
+_STEM_TEXT = st.lists(st.lists(_FIELD, min_size=1, max_size=4).map("\t".join), max_size=6).map("\n".join)
+
+
+class TestWordsReachingStemBatch:
+    """Every word that ``cmd_stem`` and ``cmd_eval`` pass to ``stem_batch``
+    is non-empty and NFC, so ``stem_batch`` never raises ``StemError`` on
+    the CLI path; the CLI's ``except StemError`` clauses are safety code."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(text=_STEM_TEXT, strip=st.booleans())
+    def test_words_are_nonempty_and_nfc(self, text, strip):
+        normalized = corpus.normalize(text, strip)
+        words = corpus.tokenize(normalized)  # stem
+        words += [w for w in map(str.strip, normalized.split("\n")) if w]  # stem --pretokenized
+        try:
+            words += [g.word for g in evaluation.parse_gold_file(text, strip)]  # eval
+        except evaluation.GoldFileError:
+            pass
+        assert all(w and unicodedata.is_normalized("NFC", w) for w in words)

@@ -1,4 +1,5 @@
 import re
+import sys
 import unicodedata
 
 import pytest
@@ -253,6 +254,17 @@ class TestParse:
         assert exc_info.value.line == 3
         assert exc_info.value.other_line == 1
         assert "line 1" in str(exc_info.value)
+
+    # Python 3.11 (and 3.10.7) refuse to convert more digits than this to an int.
+    _INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+    @pytest.mark.skipif(not _INT_DIGITS, reason="int() takes digit strings of any length")
+    @pytest.mark.parametrize("template", ["S\tوں\t{}", "S\tوں\t\t{}", "#!default-min-stem\t{}"])
+    def test_digit_field_too_long_for_int_is_a_line_error(self, template):
+        # int()'s ValueError is reported with its line, as every other check is.
+        with pytest.raises(RuleParseError) as exc_info:
+            parse_rule_file("# comment\n" + template.format("9" * (self._INT_DIGITS + 1)) + "\n")
+        assert exc_info.value.line == 2
 
     def test_leading_bom_ignored(self):
         text = "S\tوں\tہ\n#!exception\tحیات\n"
