@@ -11,8 +11,14 @@ Exit codes: 0 success, 1 validation failure (bad rule file), 2
 input/alignment error, 141 (128 + SIGPIPE, with nothing on stderr) when
 the reader of stdout closes it early.  Every error is raised before the
 first byte of output, so stdout stays empty unless the exit code is 0 or
-141.  Output and error messages are UTF-8 whatever the locale, and
-``stem`` writes its output in blocks of ``_BLOCK`` tokens.
+141.  Output and error messages are UTF-8 whatever the locale.
+
+``stem`` holds its input as bytes, not as text, and processes it in
+blocks of whole lines (``_INPUT_BLOCK`` bytes or more): a first pass
+decodes each block and checks it, a second normalizes, tokenizes and
+stems it, keeping one output line per distinct word across blocks.  It
+writes its output in blocks of ``_BLOCK`` tokens.  So its memory follows
+the input's size in bytes and its vocabulary, not its length as text.
 
 Start-up imports only what ``stem`` needs: ``eval`` and ``gen`` import
 ``evaluation`` and ``morphology`` when they run, and ``stem --json``
@@ -23,6 +29,7 @@ import argparse
 import codecs
 import os
 import sys
+from itertools import chain, islice
 
 from urdustem import corpus
 from urdustem.rules import RuleParseError, RuleSet, _rule_fields, parse_rule_file
@@ -41,6 +48,13 @@ EXIT_VALIDATION = 1
 EXIT_INPUT = 2
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool that SIGPIPE stopped
 
+# Input bytes per block, rounded up to the end of a line.  Cutting after an
+# LF changes no word: in UTF-8 the byte 0x0A is never inside a multi-byte
+# sequence, LF is a starter that composes with nothing (so normalize acts
+# within lines), and tokenize and the --pretokenized line split both cut at
+# LF.
+_INPUT_BLOCK = 1 << 14
+
 # Tokens per stdout write: stem holds one joined block beside its lines, not
 # the whole output, and writing the whole output at once was no faster.
 _BLOCK = 1024
@@ -58,6 +72,11 @@ def _json_line(r: StemResult, q) -> str:
                          ", ".join(map(q, r.applied)), "true" if r.exception_hit else "false")
 
 
+# The file arguments of every command.  Stdin ("-") can be read only once,
+# so at most one of them may name it.
+_FILE_ARGS = ("input", "--rules", "--gold", "--lexicon")
+
+
 class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
@@ -72,26 +91,30 @@ def _parse_bool(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {value!r}")
 
 
-def _read_input(path: str) -> str:
+def _read_bytes(path: str) -> bytes:
+    try:
+        if path == "-":
+            return sys.stdin.buffer.read()
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as exc:
+        raise CliError(f"{path}: {exc.strerror}", EXIT_INPUT) from exc
+
+
+def _decode(path: str, data, start: int = 0) -> str:
+    """*data*, which begins at byte *start* of the file at *path*, as text."""
     # Strict, not "utf-8-sig", so that an error offset counts from the first
     # byte; cmd_stem and corpus.data_lines each drop the one leading BOM.
     try:
-        if path == "-":
-            data = sys.stdin.buffer.read()
-        else:
-            with open(path, "rb") as f:
-                data = f.read()
-        return data.decode("utf-8")
+        return str(data, "utf-8")
     except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: invalid UTF-8 at byte {exc.start}", EXIT_INPUT) from exc
-    except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror}", EXIT_INPUT) from exc
+        raise CliError(f"{path}: invalid UTF-8 at byte {start + exc.start}", EXIT_INPUT) from exc
 
 
 def _read_data(path: str, read, error: type[Exception], code: int = EXIT_INPUT):
     """``read(text)`` of the data file at *path*; its *error* exits *code*, naming the path."""
     try:
-        return read(_read_input(path))
+        return read(_decode(path, _read_bytes(path)))
     except error as exc:
         raise CliError(f"{path}: {exc}", code) from exc
 
@@ -111,33 +134,59 @@ def _stem_config(args) -> StemConfig:
         raise CliError(str(exc), EXIT_INPUT) from exc
 
 
+def _input_blocks(path: str, data: bytes):
+    """The text of each block of *data*, the bytes of the file at *path*.
+
+    A block is the shortest run of whole lines of at least ``_INPUT_BLOCK``
+    bytes, or the rest of the input; the one BOM at byte 0 is dropped.
+    """
+    with memoryview(data) as view:
+        start = 0
+        while start < len(data):
+            end = data.find(b"\n", start + _INPUT_BLOCK - 1) + 1 or len(data)
+            text = _decode(path, view[start:end], start)
+            yield text.removeprefix("\ufeff") if start == 0 else text
+            start = end
+
+
 def cmd_stem(args) -> int:
     rs = _load_rules(args.rules)
     cfg = _stem_config(args)
-    text = corpus.normalize(_read_input(args.input).removeprefix("\ufeff"), args.strip_diacritics)
-    if args.pretokenized:
-        words = [w for w in map(str.strip, text.split("\n")) if w]
-        if "\t" in text or "\r" in text:
-            for lineno, word in enumerate(map(str.strip, text.split("\n")), start=1):
+    data = _read_bytes(args.input)
+    # Pass 1 keeps nothing: it raises every input error before the first write.
+    lineno = 1  # of the block's first line
+    for text in _input_blocks(args.input, data):
+        if args.pretokenized and ("\t" in text or "\r" in text):
+            words = map(str.strip, corpus.normalize(text, args.strip_diacritics).split("\n"))
+            for i, word in enumerate(words, start=lineno):
                 if "\t" in word or "\r" in word:
-                    raise CliError(f"{args.input}: line {lineno}: tab or CR inside a word", EXIT_INPUT)
-    else:
-        words = corpus.tokenize(text)
-    del text
-    try:
-        lines = dict(zip(words, stem_batch(words, rs, cfg)))
-    except StemError as exc:
-        raise CliError(str(exc), EXIT_INPUT) from exc
+                    raise CliError(f"{args.input}: line {i}: tab or CR inside a word", EXIT_INPUT)
+        lineno += text.count("\n")
 
     if args.json:
         from json.encoder import encode_basestring
-    # Each distinct word's result is replaced by its line in the same dict,
-    # so repeats share one line and a result is freed once it is rendered.
-    for w, r in lines.items():
-        lines[w] = (_json_line(r, encode_basestring) if args.json
-                    else "\t".join((w, shown_affix(r.prefix), r.stem, shown_affix(r.suffix))) + "\n")
-    for i in range(0, len(words), _BLOCK):
-        sys.stdout.write("".join(map(lines.__getitem__, words[i:i + _BLOCK])))
+    lines: dict[str, str] = {}  # each distinct word's output line, kept across blocks
+    chunk_words = corpus._ChunkWords()
+
+    def block_words():
+        """Each block's tokens, once ``lines`` holds a line for each of them."""
+        for text in _input_blocks(args.input, data):
+            text = corpus.normalize(text, args.strip_diacritics)
+            words = ([w for w in map(str.strip, text.split("\n")) if w] if args.pretokenized
+                     else corpus.tokenize(text, chunk_words))
+            new = [w for w in dict.fromkeys(words) if w not in lines]
+            try:
+                results = stem_batch(new, rs, cfg)
+            except StemError as exc:
+                raise CliError(str(exc), EXIT_INPUT) from exc
+            for w, r in zip(new, results):
+                lines[w] = (_json_line(r, encode_basestring) if args.json
+                            else "\t".join((w, shown_affix(r.prefix), r.stem, shown_affix(r.suffix))) + "\n")
+            yield words
+
+    tokens = chain.from_iterable(block_words())
+    while out := "".join(map(lines.__getitem__, islice(tokens, _BLOCK))):
+        sys.stdout.write(out)
     return EXIT_OK
 
 
@@ -239,6 +288,10 @@ def main(argv=None) -> int:
             stream.reconfigure(encoding="utf-8", errors=stream.errors)
     args = build_parser().parse_args(argv)
     try:
+        stdin_args = [name for name in _FILE_ARGS if getattr(args, name.lstrip("-"), None) == "-"]
+        if len(stdin_args) > 1:
+            raise CliError(f"stdin can be read only once, but {' and '.join(stdin_args)} both name -",
+                           EXIT_INPUT)
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe is seen here, not at exit
         return code

@@ -71,7 +71,7 @@ def data_lines(text: str, error, strip_diacritics: bool = False) -> Iterator[tup
 
 
 class _ChunkWords(dict):
-    """``tokenize``'s per-call memo: the words of a chunk that is not letters-only."""
+    """``tokenize``'s memo: the words of a chunk that is not letters-only."""
 
     def __missing__(self, chunk: str) -> list[str]:
         runs = groupby(chunk, lambda ch: ch.isalpha() or extends_cluster(ch))
@@ -80,7 +80,7 @@ class _ChunkWords(dict):
         return words
 
 
-def tokenize(text: str) -> list[str]:
+def tokenize(text: str, chunk_words: _ChunkWords | None = None) -> list[str]:
     """Return the words of normalized text, in order.
 
     A word starts with a letter (``str.isalpha``, category L*) and runs on
@@ -89,12 +89,14 @@ def tokenize(text: str) -> list[str]:
     surrogates alike, ends a word and is dropped, and so are marks and
     joiners that no letter precedes within the run.  The text is cut into
     whitespace-free chunks by ``str.split``.  A chunk of letters only is one
-    word as it stands; any other chunk, each distinct one once per call, is
-    split into its runs of word characters, and each run loses its leading
-    marks and joiners.
+    word as it stands; any other chunk, each distinct one once per call, or
+    once per *chunk_words* memo that the caller keeps across calls, is split
+    into its runs of word characters, and each run loses its leading marks
+    and joiners.
     """
     words: list[str] = []
-    chunk_words = _ChunkWords()
+    if chunk_words is None:
+        chunk_words = _ChunkWords()
     for chunk in text.split():
         if chunk.isalpha():
             words.append(chunk)

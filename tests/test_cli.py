@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from urdustem import corpus, data, evaluation, morphology
+from urdustem import cli, corpus, data, evaluation, morphology, stemmer
 from urdustem.cli import _BLOCK, EXIT_PIPE, _json_line, main
 from urdustem.graphemes import ZWJ, ZWNJ
 from urdustem.rules import RuleParseError, parse_rule_file
@@ -555,6 +555,127 @@ class TestGen:
         )
         assert code == 0
         assert "accuracy_percent\t100.0" in out
+
+
+# Line pieces for block-wise input: a U+FEFF, a combining acute, a Hangul V
+# jamo or a tab that opens a line, and a Hangul L jamo or a tab that closes
+# one, so that a block edge falls between characters that NFC would compose
+# or that the line trim drops.  Line contents hold no tab or CR, so that
+# every --pretokenized line is a valid word.
+_LINE_LEAD = st.sampled_from(["", "", "\ufeff", "\u0301", "\u1161", "\t"])
+_LINE_TRAIL = st.sampled_from(["", "", "\u1100", "\t"])
+_LINE_BODY = st.lists(st.sampled_from([
+    *_BLOCK_WORDS, "بد نصیب", " ", "۔", "2013", "a", "َ", "ـ", ZWNJ, "\u0643", "\ufeff",
+]), max_size=5).map("".join)
+_BLOCK_TEXT = st.tuples(
+    st.sampled_from(["", "\ufeff"]),
+    st.lists(st.tuples(_LINE_LEAD, _LINE_BODY, _LINE_TRAIL, st.sampled_from(["\n", "\r\n"])).map("".join),
+             max_size=12).map("".join),
+    st.sampled_from(["", "کتاب", "\u1100"]),  # a last line without an LF
+).map("".join)
+
+
+@pytest.fixture(scope="module")
+def blocks_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("blocks")
+
+
+def _stdout_of(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestInputBlocks:
+    """``stem`` reads its input in blocks of ``_INPUT_BLOCK`` or more bytes,
+    each ending just after an LF, and gives the output of the whole input."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_BLOCK_TEXT, block=st.integers(1, 400), strip=st.booleans(),
+           mode=st.sampled_from([(), ("--json",), ("--pretokenized",), ("--pretokenized", "--json")]))
+    @example(text="\ufeffکتاب\n\ufeffکتاب\r\n\u1100\n\u1161کتابیں\t\n", block=1, strip=True,
+             mode=("--pretokenized",))
+    def test_blocks_give_the_whole_input_output(self, blocks_dir, default_rules, text, block, strip, mode):
+        normalized = corpus.normalize(text.removeprefix("\ufeff"), strip)
+        words = ([w for w in map(str.strip, normalized.split("\n")) if w] if "--pretokenized" in mode
+                 else corpus.tokenize(normalized))
+        expected = reference_output(words, default_rules, "--json" in mode)
+        p = blocks_dir / "in.txt"
+        p.write_bytes(text.encode("utf-8"))
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_INPUT_BLOCK", block)
+            mp.setattr(stemmer, "stem_word", lambda word, *a: calls.append(word) or stem_word(word, *a))
+            code, out, err = _stdout_of(["stem", str(p), "--rules", data.path(data.DEFAULT_RULES),
+                                         f"--strip-diacritics={strip}", *mode])
+        assert (code, err) == (0, "")
+        assert out == expected
+        assert sorted(calls) == sorted(set(words))
+
+    @pytest.mark.parametrize("block", [1, 100, None], ids=["line", "100-bytes", "16KiB"])
+    @pytest.mark.parametrize("error", ["byte", "tab"])
+    def test_error_in_the_last_block_writes_nothing(self, tmp_path, monkeypatch, block, error):
+        words = _block_words(3000, False)
+        head = "".join(w + "\n" for w in words).encode("utf-8")
+        assert len(head) > 2 * cli._INPUT_BLOCK
+        if block:
+            monkeypatch.setattr(cli, "_INPUT_BLOCK", block)
+        p = tmp_path / "in.txt"
+        if error == "byte":
+            p.write_bytes(head + "کتاب".encode("utf-8") + b"\xff\n")
+            message = f"invalid UTF-8 at byte {len(head) + len('کتاب'.encode('utf-8'))}"
+        else:
+            p.write_bytes(head + "بد\tنصیب\n".encode("utf-8"))
+            message = f"line {len(words) + 1}: tab or CR inside a word"
+        stdout, stderr = _Writes(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(["stem", str(p), "--rules", data.path(data.DEFAULT_RULES), "--pretokenized"])
+        assert code == 2 and stdout.calls == []
+        assert message in stderr.getvalue()
+
+    def test_peak_memory_follows_the_vocabulary(self, tmp_path):
+        """The traced peak of ``main`` on 40 copies of a text exceeds its
+        peak on 4 copies by less than twice the input bytes added (about
+        once: the bytes themselves).  Holding the input as text, normalized
+        text and tokens at once grew it by about ten times those bytes."""
+        rng = random.Random(24)
+        vocab = [random_word(rng, 2, 8) for _ in range(400)]
+        text = "".join(" ".join(rng.choices(vocab, k=10)) + "\n" for _ in range(200))
+
+        def peak(copies):
+            p = tmp_path / f"in{copies}.txt"
+            p.write_text(text * copies, encoding="utf-8")
+            with open(os.devnull, "w", encoding="utf-8") as out, redirect_stdout(out):
+                tracemalloc.start()
+                try:
+                    code = main(["stem", str(p), "--rules", data.path(data.DEFAULT_RULES)])
+                    return code, tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak(1)  # loads what every later call reuses
+        (code4, peak4), (code40, peak40) = peak(4), peak(40)
+        assert code4 == code40 == 0
+        assert peak40 - peak4 < 2 * 36 * len(text.encode("utf-8"))
+
+
+class TestStdinNamedOnce:
+    """Stdin can be read only once, so a command whose file arguments name
+    ``-`` twice exits 2 before it reads anything."""
+
+    @pytest.mark.parametrize("argv, names", [
+        (["stem", "-", "--rules", "-"], "input and --rules"),
+        (["stem", "--rules", "-"], "input and --rules"),
+        (["stem", "-", "--rules", "-", "--pretokenized", "--json"], "input and --rules"),
+        (["eval", "--rules", "-", "--gold", "-"], "--rules and --gold"),
+    ], ids=["stem", "stem-default-input", "stem-pretokenized-json", "eval"])
+    def test_exits_2_without_reading(self, capsys, monkeypatch, argv, names):
+        stdin = io.BytesIO("S\tوں\nلڑکوں\tلڑک\n".encode("utf-8"))
+        monkeypatch.setattr(sys, "stdin", type("S", (), {"buffer": stdin})())
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert names in err and stdin.tell() == 0
 
 
 # Pieces of rule, gold, lexicon and running-text files: letters, harakat,
