@@ -7,10 +7,13 @@ allowed, inside the produced stem and are fewer; over-stemming when the
 produced stem's clusters occur that way inside the expected stem; other
 when neither holds (e.g. a recoding divergence).  Two stems made only of
 letters are compared by code point, which gives the same result, since
-the clusters of letters-only text are its code points.
+the clusters of letters-only text are its code points; there a substring
+is tried first, as a substring is a subsequence.  ``evaluate`` classifies
+each distinct (result, gold) pair once and counts it as often as it occurs.
 """
 
 import json
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -65,10 +68,10 @@ class EvalReport(NamedTuple):
 
 
 def _is_correct(result: StemResult, gold: GoldEntry, stem_only: bool) -> bool:
-    """Stems compare as they are; affixes as ``stem`` prints them."""
+    """Stems compare as they are; affixes as stored, then as ``stem`` prints them."""
     if result.stem != gold.expected_stem:
         return False
-    if stem_only:
+    if stem_only or (result.prefix, result.suffix) == (gold.expected_prefix, gold.expected_suffix):
         return True
     return (shown_affix(result.prefix) == shown_affix(gold.expected_prefix)
             and shown_affix(result.suffix) == shown_affix(gold.expected_suffix))
@@ -79,10 +82,12 @@ def _proper_subsequence(needle, haystack) -> bool:
     in *haystack* and *needle* has fewer clusters.
 
     Both are lists of clusters, or both are letters-only strings, whose
-    code points are their clusters.
+    code points are their clusters, so a substring is a subsequence.
     """
     if len(needle) >= len(haystack):
         return False
+    if isinstance(needle, str) and needle in haystack:
+        return True
     it = iter(haystack)
     return all(g in it for g in needle)
 
@@ -114,7 +119,13 @@ def classify_error(result: StemResult, gold: GoldEntry, stem_only: bool = False)
 
 
 def evaluate(results, gold, stem_only: bool = False) -> EvalReport:
-    """Score aligned stemmer output against gold decompositions."""
+    """Score aligned stemmer output against gold decompositions.
+
+    Results and gold entries must be hashable, as ``stem_word`` and
+    ``parse_gold_file`` build them: each distinct (result, gold) pair is
+    classified once and weighted by its count.  An error names the first
+    entry that holds the bad pair.
+    """
     results = list(results)
     gold = list(gold)
     if len(results) != len(gold):
@@ -125,16 +136,16 @@ def evaluate(results, gold, stem_only: bool = False) -> EvalReport:
     classes: list[ErrorClass] = []
     correct_types: set[str] = set()
     pass_through = 0
-    for i, (r, g) in enumerate(zip(results, gold)):
+    for (r, g), n in Counter(zip(results, gold)).items():
         try:
             cls = classify_error(r, g, stem_only)
         except EvalError as exc:
-            raise EvalError(f"entry {i}: {exc}") from exc
-        classes.append(cls)
+            raise EvalError(f"entry {list(zip(results, gold)).index((r, g))}: {exc}") from exc
+        classes += [cls] * n
         if cls is ErrorClass.CORRECT:
             correct_types.add(g.word)
             if r.is_pass_through:
-                pass_through += 1
+                pass_through += n
 
     # Counted by identity in C: an Enum member's __hash__ is Python code.
     counts = {cls: classes.count(cls) for cls in ErrorClass}
@@ -232,7 +243,9 @@ def parse_gold_file(text: str, strip_diacritics: bool = False) -> list[GoldEntry
                 raise GoldFileError("gold word and expected_stem must be non-empty", lineno)
             if word.startswith("#"):  # indented; written back, it would read as a comment
                 raise GoldFileError(f"word {word!r} starts with '#', which reads as a comment", lineno)
-            entry = parsed[line] = GoldEntry(word, stem, prefix or None, suffix or None)
+            # Built positionally in C, as stem_word builds its StemResult.
+            entry = parsed[line] = tuple.__new__(
+                GoldEntry, (word, stem, prefix or None, suffix or None))
         entries.append(entry)
     return entries
 

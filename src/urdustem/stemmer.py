@@ -5,10 +5,10 @@ index, probes once per pattern length under it, longest first, and
 detaches the first affix found that leaves a long-enough residual stem.
 A word matching nothing is returned unchanged; exception-listed words
 are returned verbatim before any rule is consulted.  A recoded stem is
-renormalized to NFC.  Every pass probes the word string itself and
-carries the residual's cluster count as arithmetic; only a recoding
-counts clusters again.  ``stem_batch`` stems each distinct word once, so
-repeats share one :class:`StemResult`.
+renormalized to NFC.  Every pass runs inside ``stem_word``'s own loop,
+probes the word string itself and carries the residual's cluster count
+as arithmetic; only a recoding counts clusters again.  ``stem_batch``
+stems each distinct word once, so repeats share one :class:`StemResult`.
 """
 
 import unicodedata
@@ -80,53 +80,23 @@ def shown_affix(affix: str | None) -> str:
     return (affix or "").strip()
 
 
-def _scan(word: str, n: int, buckets, suffix: bool):
-    """Longest legal rule in *buckets* for *word* of *n* clusters, or None.
-
-    Looks the edge letter of *word* (the last code point when *suffix*,
-    else the first) up in *buckets*, ``RuleSet.buckets[suffix]``, probes
-    the edge once per pattern length under it, longest first, and takes a
-    match only if *n* reaches its rule's minimum cluster count.  *word* is
-    never empty: ``stem_word`` rejects ``""``, and ``min_stem >= 1`` leaves
-    a cluster after every cut.  Returns ``(rule, residual,
-    residual_clusters)``; the detached surface is ``rule.pattern``.
-
-    A match stands only where it cuts the word between two clusters.  A
-    suffix pattern starts with a non-extender (``AffixRule`` rejects the
-    others), which always starts a cluster; a prefix cut is refused when
-    the residual, non-empty once the count check passes, starts with an
-    extender.  So every match that stands is a run of whole clusters: the
-    residual has ``n - rule.pattern_length`` of them, and of two patterns
-    that match one edge (so differ in length) the longer adds at least one
-    whole cluster to the shorter, so longest first by code points probes
-    in the order of longest first by clusters.  Only a recoding counts
-    again, after NFC, since a replacement may start with a mark that
-    composes with the residual (e.g. alif + maddah).
-    """
-    for k, by_pattern in buckets.get(word[-1] if suffix else word[0], ()):
-        hit = by_pattern.get(word[-k:] if suffix else word[:k])
-        if hit is None or n < hit[1]:
-            continue
-        rule = hit[0]
-        if suffix:
-            rest = word[:-k]
-        else:
-            rest = word[k:]
-            if graphemes.extends_cluster(rest[0]):
-                continue
-        if not rule.replacement:
-            return rule, rest, n - rule.pattern_length
-        recoded = rest + rule.replacement if suffix else rule.replacement + rest
-        recoded = unicodedata.normalize("NFC", recoded)
-        return rule, recoded, graphemes.count(recoded)
-    return None
-
-
 def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemResult:
     """Decompose one word into (prefix, stem, suffix).
 
     The word must be non-empty and NFC-normalized (see
     :func:`urdustem.corpus.normalize`).
+
+    A pass probes the stem's edge once per pattern length under its edge
+    letter in ``RuleSet.buckets``, longest first, and takes a match only
+    if the stem's *n* clusters reach the rule's minimum, which leaves at
+    least one (``min_stem >= 1``), so the stem is never empty.  A match stands only where it cuts between two clusters:
+    a suffix pattern starts with a non-extender (``AffixRule`` rejects
+    the others), and a prefix cut is refused when the residual starts
+    with an extender.  So every cut takes whole clusters, the residual
+    has ``n - rule.pattern_length`` of them, and longest first by code
+    points is longest first by clusters.  Only a recoding counts again,
+    after NFC, since a replacement may start with a mark that composes
+    with the residual (e.g. alif + maddah).
     """
     if not word:
         raise StemError("cannot stem an empty word")
@@ -142,17 +112,33 @@ def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemR
     for suffix, passes in cfg.phases:
         buckets = rs.buckets[suffix]
         for _ in range(passes):
-            hit = _scan(stem, n, buckets, suffix)
-            if hit is None:
+            for k, by_pattern in buckets.get(stem[-1] if suffix else stem[0], ()):
+                hit = by_pattern.get(stem[-k:] if suffix else stem[:k])
+                if hit is None or n < hit[1]:
+                    continue
+                rule = hit[0]
+                if suffix:
+                    rest = stem[:-k]
+                else:
+                    rest = stem[k:]
+                    if graphemes.extends_cluster(rest[0]):
+                        continue
+                if rule.replacement:
+                    stem = unicodedata.normalize(
+                        "NFC", rest + rule.replacement if suffix else rule.replacement + rest)
+                    n = graphemes.count(stem)
+                else:
+                    stem, n = rest, n - rule.pattern_length
+                applied.append(rule.rule_id)
+                if suffix:
+                    # Later-stripped suffixes sit closer to the stem, i.e.
+                    # earlier in logical order.
+                    suffixes = rule.pattern + suffixes
+                else:
+                    prefixes += rule.pattern
                 break
-            rule, stem, n = hit
-            applied.append(rule.rule_id)
-            if suffix:
-                # Later-stripped suffixes sit closer to the stem, i.e.
-                # earlier in logical order.
-                suffixes = rule.pattern + suffixes
-            else:
-                prefixes += rule.pattern
+            else:  # no rule matched: this phase is done
+                break
 
     # Built positionally in C: the NamedTuple's keyword-parsing __new__ is
     # Python code, several times the cost of tuple.__new__ per word.

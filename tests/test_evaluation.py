@@ -11,6 +11,7 @@ from urdustem.corpus import data_lines
 from urdustem.evaluation import (
     ErrorClass,
     EvalError,
+    EvalReport,
     GoldEntry,
     GoldFileError,
     classify_error,
@@ -134,6 +135,51 @@ class TestClassify:
         assert classify_error(res, gold, stem_only) is _cascade_classify(res, gold, stem_only)
 
 
+def _evaluate_per_entry(results, gold, stem_only):
+    """Reference: evaluate as it was, classifying every entry."""
+    classes, correct_types, pass_through = [], set(), 0
+    for i, (r, g) in enumerate(zip(results, gold)):
+        try:
+            cls = classify_error(r, g, stem_only)
+        except EvalError as exc:
+            raise EvalError(f"entry {i}: {exc}") from exc
+        classes.append(cls)
+        if cls is ErrorClass.CORRECT:
+            correct_types.add(g.word)
+            pass_through += r.is_pass_through
+    tally = Counter(classes)
+    lengths = [graphemes.count(g.word) for g in gold]
+    return EvalReport(
+        total_words=len(gold), correct=tally[ErrorClass.CORRECT],
+        wrong=len(gold) - tally[ErrorClass.CORRECT], unique_correct=len(correct_types),
+        pass_through_count=pass_through,
+        accuracy_percent=Fraction(tally[ErrorClass.CORRECT], len(gold)) * 100,
+        over_count=tally[ErrorClass.OVER_STEMMING], under_count=tally[ErrorClass.UNDER_STEMMING],
+        other_count=tally[ErrorClass.OTHER], min_word_len=min(lengths), max_word_len=max(lengths))
+
+
+@st.composite
+def _repeated_cases(draw):
+    """Aligned (result, gold) pairs drawn from a few distinct ones, each
+    repeat either the same objects or value-equal copies, and perhaps one
+    bad pair (a mismatched word or an empty expected stem) 1-3 times."""
+    distinct = draw(st.lists(_classify_cases(), min_size=1, max_size=4))
+    cases = []
+    for _ in range(draw(st.integers(1, 12))):
+        res, gold = draw(st.sampled_from(distinct))
+        if draw(st.booleans()):
+            res, gold = StemResult(*res), GoldEntry(*gold)
+        cases.append((res, gold))
+    if draw(st.booleans()):
+        res, gold = draw(_classify_cases())
+        bad = draw(st.sampled_from([(result("سوال", res.stem), gold),
+                                    (res, GoldEntry(gold.word, ""))]))
+        for _ in range(draw(st.integers(1, 3))):
+            copy = (StemResult(*bad[0]), GoldEntry(*bad[1]))
+            cases.insert(draw(st.integers(0, len(cases))), draw(st.sampled_from([bad, copy])))
+    return cases
+
+
 class TestEvaluate:
     def _aligned(self, n_correct, n_wrong):
         results, gold = [], []
@@ -194,6 +240,19 @@ class TestEvaluate:
             tally[ErrorClass.CORRECT], tally[ErrorClass.OVER_STEMMING],
             tally[ErrorClass.UNDER_STEMMING], tally[ErrorClass.OTHER])
         assert report.wrong == len(cases) - tally[ErrorClass.CORRECT]
+
+    @settings(max_examples=300, deadline=None)
+    @given(cases=_repeated_cases(), stem_only=st.booleans())
+    def test_repeated_pairs_score_as_each_entry_alone(self, cases, stem_only):
+        results, gold = zip(*cases)
+        try:
+            expected = _evaluate_per_entry(results, gold, stem_only)
+        except EvalError as exc:
+            with pytest.raises(EvalError) as got:
+                evaluate(results, gold, stem_only)
+            assert str(got.value) == str(exc)  # names the first bad entry
+            return
+        assert evaluate(results, gold, stem_only)._asdict() == expected._asdict()
 
     def test_error_breakdown_partitions_wrong(self):
         results = [
@@ -439,7 +498,10 @@ def _stem_pairs(draw):
     word = draw(st.text(alphabet=alphabet, min_size=1, max_size=8))
 
     def stem():
-        kind = draw(st.sampled_from(["kept", "letters", "marked"]))
+        kind = draw(st.sampled_from(["kept", "slice", "letters", "marked"]))
+        if kind == "slice":  # a contiguous run of the word's code points
+            start = draw(st.integers(0, len(word) - 1))
+            return word[start:draw(st.integers(start + 1, len(word)))]
         if kind == "kept":  # drop some code points of the word
             keep = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
             kept = "".join(ch for ch, k in zip(word, keep) if k)
@@ -458,6 +520,9 @@ class TestClassifyAgainstClusters:
     @given(case=_stem_pairs(), stem_only=st.booleans())
     @example(case=(result("کتاب", "کتا"), GoldEntry("کتاب", "کت\u064eا")), stem_only=False)
     @example(case=(result("کتاب", "کتاب"), GoldEntry("کتاب", "کتب")), stem_only=True)
+    # The expected ب is a code-point substring of the produced بَ, but not
+    # one of its clusters: other, not under-stemming.
+    @example(case=(result("بَت", "بَ"), GoldEntry("بَت", "ب")), stem_only=False)
     def test_class_equals_the_cluster_comparison(self, case, stem_only):
         res, gold = case
         assert classify_error(res, gold, stem_only) is _cluster_classify(res, gold, stem_only)

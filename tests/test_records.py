@@ -111,7 +111,7 @@ def test_repr_shows_the_fields_only():
 
 
 def test_the_stemmer_reads_stored_rule_attributes():
-    # _scan and stem_word read these on every match: slots, not properties.
+    # stem_word reads these on every match: slots, not properties.
     for name in ("pattern", "replacement", "rule_id", "pattern_length"):
         assert isinstance(AffixRule.__dict__[name], types.MemberDescriptorType)
     rule = AffixRule(S, "یاں", "ی")
