@@ -9,15 +9,16 @@ Subcommands::
 
 Exit codes: 0 success, 1 validation failure (bad rule file), 2
 input/alignment error, 141 (128 + SIGPIPE, with nothing on stderr) when
-the reader of stdout closes it early.  Every error is raised before the
-first byte of output, so stdout stays empty unless the exit code is 0 or
-141.  Output and error messages are UTF-8 whatever the locale.
+the reader of stdout closes it early, whatever the size of the write it
+cuts short.  Every error is raised before the first byte of output, so
+stdout stays empty unless the exit code is 0 or 141.  Output (all of it
+through ``_write``) and error messages are UTF-8 whatever the locale.
 
 ``stem`` holds its input as bytes, not as text, and processes it in
 blocks of whole lines (``_INPUT_BLOCK`` bytes or more): a first pass
 decodes each block and checks it, a second normalizes, tokenizes and
-stems it, keeping one output line per distinct word across blocks.  It
-writes its output in blocks of ``_BLOCK`` tokens.  So its memory follows
+stems it, keeping one output line per distinct word across blocks, and
+writes the block's tokens ``_BLOCK`` at a time.  So its memory follows
 the input's size in bytes and its vocabulary, not its length as text.
 
 Start-up imports only what ``stem`` needs: ``eval`` and ``gen`` import
@@ -29,7 +30,6 @@ import argparse
 import codecs
 import os
 import sys
-from itertools import chain, islice
 
 from urdustem import corpus
 from urdustem.rules import RuleParseError, RuleSet, _rule_fields, parse_rule_file
@@ -56,7 +56,9 @@ EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool that SIGPIPE stopped
 _INPUT_BLOCK = 1 << 14
 
 # Tokens per stdout write: stem holds one joined block beside its lines, not
-# the whole output, and writing the whole output at once was no faster.
+# the whole output, and writing the whole output at once was no faster.  Nor
+# is a write a whole input block's output, which for an input of one long
+# line is the whole output.
 _BLOCK = 1024
 
 # A --json line has a fixed schema.  Its strings go through *q*,
@@ -81,6 +83,23 @@ class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
+
+
+def _write(text: str) -> None:
+    """Write *text* to stdout as UTF-8, every byte of it.
+
+    ``TextIOWrapper.write`` ignores the short count that ``buffer.write``
+    returns when the reader closes the pipe partway through; here the next
+    call raises BrokenPipeError, so ``main`` exits 141.  A text sink
+    without ``buffer``, such as a StringIO, takes the text as it is.
+    """
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+        return
+    data = text.encode("utf-8")
+    while data:
+        data = data[buffer.write(data):]
 
 
 def _parse_bool(value: str) -> bool:
@@ -167,26 +186,20 @@ def cmd_stem(args) -> int:
         from json.encoder import encode_basestring
     lines: dict[str, str] = {}  # each distinct word's output line, kept across blocks
     chunk_words = corpus._ChunkWords()
-
-    def block_words():
-        """Each block's tokens, once ``lines`` holds a line for each of them."""
-        for text in _input_blocks(args.input, data):
-            text = corpus.normalize(text, args.strip_diacritics)
-            words = ([w for w in map(str.strip, text.split("\n")) if w] if args.pretokenized
-                     else corpus.tokenize(text, chunk_words))
-            new = [w for w in dict.fromkeys(words) if w not in lines]
-            try:
-                results = stem_batch(new, rs, cfg)
-            except StemError as exc:
-                raise CliError(str(exc), EXIT_INPUT) from exc
-            for w, r in zip(new, results):
-                lines[w] = (_json_line(r, encode_basestring) if args.json
-                            else "\t".join((w, shown_affix(r.prefix), r.stem, shown_affix(r.suffix))) + "\n")
-            yield words
-
-    tokens = chain.from_iterable(block_words())
-    while out := "".join(map(lines.__getitem__, islice(tokens, _BLOCK))):
-        sys.stdout.write(out)
+    for text in _input_blocks(args.input, data):
+        text = corpus.normalize(text, args.strip_diacritics)
+        words = ([w for w in map(str.strip, text.split("\n")) if w] if args.pretokenized
+                 else corpus.tokenize(text, chunk_words))
+        new = [w for w in dict.fromkeys(words) if w not in lines]
+        try:
+            results = stem_batch(new, rs, cfg)
+        except StemError as exc:
+            raise CliError(str(exc), EXIT_INPUT) from exc
+        for w, r in zip(new, results):
+            lines[w] = (_json_line(r, encode_basestring) if args.json
+                        else "\t".join((w, shown_affix(r.prefix), r.stem, shown_affix(r.suffix))) + "\n")
+        for i in range(0, len(words), _BLOCK):
+            _write("".join(map(lines.__getitem__, words[i:i + _BLOCK])))
     return EXIT_OK
 
 
@@ -204,23 +217,21 @@ def cmd_eval(args) -> int:
         raise CliError(str(exc), EXIT_INPUT) from exc
 
     if args.json:
-        sys.stdout.write(evaluation.report_json(report))
+        _write(evaluation.report_json(report))
     else:
-        sys.stdout.write(evaluation.summarize(report) + "\n" + evaluation.report_kv(report))
+        _write(evaluation.summarize(report) + "\n" + evaluation.report_kv(report))
     return EXIT_OK
 
 
 def cmd_rules(args) -> int:
     rs = _load_rules(args.rules)
     if args.action == "validate":
-        sys.stdout.write(
-            f"ok: {rs.suffix_count} suffixes, {rs.prefix_count} prefixes, "
-            f"{len(rs.exceptions)} exceptions\n"
-        )
+        _write(f"ok: {rs.suffix_count} suffixes, {rs.prefix_count} prefixes, "
+               f"{len(rs.exceptions)} exceptions\n")
         return EXIT_OK
     out = [f"suffixes: {rs.suffix_count}", f"prefixes: {rs.prefix_count}"]
     out += ["\t".join(_rule_fields(rule)) for rule in rs.rules]
-    sys.stdout.write("".join(line + "\n" for line in out))
+    _write("".join(line + "\n" for line in out))
     return EXIT_OK
 
 
@@ -229,11 +240,9 @@ def cmd_gen(args) -> int:
 
     lexicon = _read_data(args.lexicon, morphology.parse_lexicon_file, morphology.ParadigmError)
     gold = morphology.generate_gold(lexicon)
-    out = []
     if any(isinstance(item, morphology.VerbRoot) for item in lexicon):
-        out.append("# provenance: verb forms are pattern-generalized from a single exemplar\n")
-    out.append(evaluation.gold_to_tsv(gold))
-    sys.stdout.write("".join(out))
+        _write("# provenance: verb forms are pattern-generalized from a single exemplar\n")
+    _write(evaluation.gold_to_tsv(gold))
     return EXIT_OK
 
 
@@ -280,12 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Everything the CLI writes, output and error messages alike, is UTF-8,
-    # whatever the locale says; each stream keeps its own error handler.  A
-    # StringIO or other text sink without reconfigure is left as it is.
-    for stream in (sys.stdout, sys.stderr):
-        if getattr(stream, "reconfigure", None) and codecs.lookup(stream.encoding).name != "utf-8":
-            stream.reconfigure(encoding="utf-8", errors=stream.errors)
+    # Error messages are UTF-8, as _write makes the output, whatever the locale
+    # says; stderr keeps its own error handler.  A StringIO or other text sink
+    # without reconfigure is left as it is.
+    if getattr(sys.stderr, "reconfigure", None) and codecs.lookup(sys.stderr.encoding).name != "utf-8":
+        sys.stderr.reconfigure(encoding="utf-8", errors=sys.stderr.errors)
     args = build_parser().parse_args(argv)
     try:
         stdin_args = [name for name in _FILE_ARGS if getattr(args, name.lstrip("-"), None) == "-"]

@@ -90,8 +90,8 @@ class AffixRule(Record):
             )
         if replacement == pattern:
             raise ValueError(f"replacement must differ from the pattern ({pattern!r})")
-        if min_stem is not None and min_stem < 1:
-            raise ValueError("min_stem must be positive")
+        if min_stem is not None and (type(min_stem) is not int or min_stem < 1):
+            raise ValueError(f"min_stem must be a positive int, got {min_stem!r}")
         self._set(kind=kind, pattern=pattern, replacement=replacement, min_stem=min_stem,
                   rule_id=f"{kind.value}:{pattern}", pattern_length=pattern_length)
 
@@ -117,8 +117,8 @@ class RuleSet(Record):
     ) -> None:
         rules = tuple(order_rules(rules))
         exceptions = frozenset(exceptions)
-        if default_min_stem < 1:
-            raise ValueError("default_min_stem must be positive")
+        if type(default_min_stem) is not int or default_min_stem < 1:
+            raise ValueError(f"default_min_stem must be a positive int, got {default_min_stem!r}")
         if any(not w for w in exceptions):
             raise ValueError("exception words must be non-empty")
         for word in exceptions:

@@ -44,8 +44,8 @@ class StemConfig(Record):
         self, max_suffix_passes: int = 1, max_prefix_passes: int = 1, order: str = SUFFIX_FIRST
     ) -> None:
         for n in (max_suffix_passes, max_prefix_passes):
-            if n < 0 or n > MAX_PASSES:
-                raise ValueError(f"passes must be in 0..{MAX_PASSES}, got {n}")
+            if type(n) is not int or n < 0 or n > MAX_PASSES:  # a bool is not a count
+                raise ValueError(f"passes must be an int in 0..{MAX_PASSES}, got {n!r}")
         if order not in (SUFFIX_FIRST, PREFIX_FIRST):
             raise ValueError(f"order must be {SUFFIX_FIRST!r} or {PREFIX_FIRST!r}")
         phases = ((True, max_suffix_passes), (False, max_prefix_passes))

@@ -1,6 +1,5 @@
 import io
 import json
-import math
 import os
 import random
 import subprocess
@@ -8,6 +7,7 @@ import sys
 import tracemalloc
 import unicodedata
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import islice, product
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -237,7 +237,7 @@ def _block_words(n, pretokenized):
 
 
 class TestBlocks:
-    """``stem`` writes its output in blocks of ``_BLOCK`` tokens."""
+    """``stem`` writes each input block's tokens ``_BLOCK`` at a time."""
 
     @pytest.mark.parametrize("n", _BLOCK_COUNTS)
     @pytest.mark.parametrize("mode", [(), ("--json",), ("--pretokenized",), ("--pretokenized", "--json")],
@@ -251,28 +251,27 @@ class TestBlocks:
         assert out == reference_output(words, default_rules, "--json" in mode)
 
     @pytest.mark.parametrize("n", _BLOCK_COUNTS)
-    def test_one_write_per_block(self, tmp_path, default_rules, n):
+    def test_one_write_per_block(self, tmp_path, monkeypatch, default_rules, n):
+        # Input blocks of about 1,240 lines: more than _BLOCK in every block
+        # but the last, which holds the rest.
+        monkeypatch.setattr(cli, "_INPUT_BLOCK", 15000)
         words = _block_words(n, True)
         p = tmp_path / "in.txt"
         p.write_text("".join(w + "\n" for w in words), encoding="utf-8")
         stdout = _Writes()
         with redirect_stdout(stdout):
             code = main(["stem", str(p), "--rules", data.path(data.DEFAULT_RULES), "--pretokenized"])
+        blocks, size = [[]], 0  # the shortest runs of whole lines of _INPUT_BLOCK bytes or more
+        for w in words:
+            if size >= cli._INPUT_BLOCK:
+                blocks.append([])
+                size = 0
+            blocks[-1].append(w)
+            size += len(w.encode("utf-8")) + 1
         assert code == 0
-        assert len(stdout.calls) == math.ceil(n / _BLOCK)
         assert all(call.count("\n") <= _BLOCK for call in stdout.calls)
-        assert "".join(stdout.calls) == reference_output(words, default_rules, False)
-
-    def test_tab_past_the_first_block_writes_nothing(self, tmp_path):
-        words = _block_words(_BLOCK + 5, True)
-        words[_BLOCK + 2] = "بد\tنصیب"
-        p = tmp_path / "in.txt"
-        p.write_text("".join(w + "\n" for w in words), encoding="utf-8")
-        stdout, stderr = _Writes(), io.StringIO()
-        with redirect_stdout(stdout), redirect_stderr(stderr):
-            code = main(["stem", str(p), "--rules", data.path(data.DEFAULT_RULES), "--pretokenized"])
-        assert code == 2 and stdout.calls == []
-        assert f"line {_BLOCK + 3}: tab or CR inside a word" in stderr.getvalue()
+        assert stdout.calls == [reference_output(block[i:i + _BLOCK], default_rules, False)
+                                for block in blocks for i in range(0, len(block), _BLOCK)]
 
     def test_peak_memory_is_a_few_times_the_output(self, tmp_path):
         """The traced peak of ``main`` on all-distinct words with ``--json``
@@ -729,25 +728,115 @@ class TestContract:
         assert code == 0 or out.getvalue() == ""
 
 
+# Words from each sequence of three of these 18 letters: 5,832 distinct.
+_DISTINCT_LETTERS = "بپتٹجچدڈرڑزسشکگلمن"
+
+
+def _distinct_words(n, ending):
+    return ["".join(letters) + ending for letters in islice(product(_DISTINCT_LETTERS, repeat=3), n)]
+
+
+class _ShortWrites(io.RawIOBase):
+    """A binary stdout that takes at most 1,000 bytes per ``write``."""
+
+    def __init__(self):
+        super().__init__()
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.data += data[:1000]
+        return min(len(data), 1000)
+
+
+class _ClosingPipe(io.RawIOBase):
+    """A binary stdout on the file *fd* whose reader goes away during the
+    first ``write``: that call takes half of its bytes, and every later one
+    raises."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.calls, self._fd = 0, fd
+
+    def writable(self):
+        return True
+
+    def fileno(self):
+        return self._fd
+
+    def write(self, data):
+        self.calls += 1
+        if self.calls > 1:
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(data) // 2
+
+
+def _run_until_first_line(argv):
+    """Exit code and stderr of the CLI after its reader closes stdout at
+    the end of the first line, and that line."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    with subprocess.Popen([sys.executable, "-m", "urdustem.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        return proc.wait(timeout=60), err, first
+
+
 class TestClosedStdout:
+    """A reader that closes stdout early gets exit 141 and an empty stderr,
+    whatever the size of the write it cuts short."""
+
     @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["tsv", "json"])
     def test_reader_closing_the_pipe_exits_141_quietly(self, tmp_path, mode):
         # The output, over 1 MB, is far larger than a pipe buffer, so stem is
         # still writing when its reader goes away.
         p = tmp_path / "big.txt"
         p.write_text("علاقوں کتابیں لڑکوں " * 20000 + "\n", encoding="utf-8")
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "urdustem.cli", "stem", str(p), "--rules",
-             data.path(data.DEFAULT_RULES), *mode],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == EXIT_PIPE == 141
+        code, err, first = _run_until_first_line(
+            ["stem", str(p), "--rules", data.path(data.DEFAULT_RULES), *mode])
+        assert code == EXIT_PIPE == 141
         assert err == b"" and "علاقوں".encode("utf-8") in first
+
+    @pytest.mark.parametrize("command", ["gen", "stem-pretokenized-json"])
+    def test_reader_closing_the_pipe_during_the_only_write_exits_141_quietly(self, tmp_path, command):
+        # Each output, far larger than a pipe buffer, goes out in one write:
+        # gen's gold for 5,000 nouns (about 0.8 MB), and the --json lines of
+        # 1,000 distinct words (about 0.1 MB, fewer than _BLOCK tokens).
+        p = tmp_path / "in.txt"
+        if command == "gen":
+            p.write_text("".join(f"noun\t{w}\n" for w in _distinct_words(5000, "ا")), encoding="utf-8")
+            argv = ["gen", "--lexicon", str(p)]
+        else:
+            p.write_text("".join(w + "\n" for w in _distinct_words(1000, "وں")), encoding="utf-8")
+            argv = ["stem", str(p), "--rules", data.path(data.DEFAULT_RULES), "--pretokenized", "--json"]
+        code, err, first = _run_until_first_line(argv)
+        assert code == EXIT_PIPE
+        assert err == b"" and first.endswith(b"\n")
+
+    def test_every_byte_of_short_writes_arrives_in_order(self, tmp_path, default_rules):
+        words = _distinct_words(1500, "وں")
+        p = tmp_path / "in.txt"
+        p.write_text("".join(w + "\n" for w in words), encoding="utf-8")
+        raw = _ShortWrites()
+        with redirect_stdout(io.TextIOWrapper(raw, encoding="utf-8")):
+            code = main(["stem", str(p), "--rules", data.path(data.DEFAULT_RULES), "--pretokenized", "--json"])
+        assert code == 0
+        assert raw.data.decode("utf-8") == reference_output(words, default_rules, True)
+
+    def test_one_short_write_then_a_closed_pipe_exits_141_quietly(self, tmp_path):
+        p = tmp_path / "lexicon.tsv"
+        p.write_text("noun\tلڑکا\n", encoding="utf-8")
+        stderr = io.StringIO()
+        with open(tmp_path / "stdout", "wb") as target:  # main points this file at devnull
+            raw = _ClosingPipe(target.fileno())
+            with redirect_stdout(io.TextIOWrapper(raw, encoding="utf-8")), redirect_stderr(stderr):
+                code = main(["gen", "--lexicon", str(p)])
+        assert code == EXIT_PIPE and stderr.getvalue() == ""
+        assert raw.calls == 2
 
 
 class TestPassBound:

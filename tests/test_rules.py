@@ -47,6 +47,11 @@ class TestAffixRule:
         with pytest.raises(ValueError):
             AffixRule(S, "وں", min_stem=0)
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, "1", True], ids=["fraction", "float", "str", "bool"])
+    def test_min_stem_not_an_int_rejected(self, value):
+        with pytest.raises(ValueError, match=f"min_stem must be a positive int, got {value!r}"):
+            AffixRule(S, "وں", min_stem=value)
+
     def test_rule_id(self):
         assert AffixRule(P, "بد").rule_id == "P:بد"
 
@@ -307,6 +312,12 @@ class TestRuleSet:
         assert _index(rs.buckets[False]) == {"ب": [(3, ["بَد"])], "ن": [(2, ["نو"])]}
         assert dict(rs.buckets[True]["ں"])[3]["وَں"][1] == 2 + DEFAULT_MIN_STEM
         assert "buckets" not in repr(rs)
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, "1", True, None],
+                             ids=["fraction", "float", "str", "bool", "none"])
+    def test_default_min_stem_not_an_int_rejected(self, value):
+        with pytest.raises(ValueError, match=f"default_min_stem must be a positive int, got {value!r}"):
+            RuleSet((), default_min_stem=value)
 
     def test_non_nfc_exception_word_rejected(self):
         with pytest.raises(ValueError, match="exception word .* is not NFC"):

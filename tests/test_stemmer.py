@@ -123,6 +123,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             StemConfig(max_prefix_passes=-1)
 
+    @pytest.mark.parametrize("value", [2.0, "1", True, None], ids=["float", "str", "bool", "none"])
+    @pytest.mark.parametrize("field", ["max_suffix_passes", "max_prefix_passes"])
+    def test_passes_not_an_int_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"passes must be an int in 0..4, got {value!r}"):
+            StemConfig(**{field: value})
+
     def test_zero_passes_disable_phase(self, table2_rules):
         cfg = StemConfig(max_suffix_passes=0)
         res = stem_word("علاقوں", table2_rules, cfg)
