@@ -309,7 +309,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # The reader closed stdout (``| head``).  What is still buffered goes
         # to devnull, so that the flush at interpreter exit stays quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_PIPE
 
 

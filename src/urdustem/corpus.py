@@ -3,13 +3,15 @@
 Normalization brings text into the same space the rule files live in:
 NFC, optionally stripped of Arabic-script diacritics (the harakat
 classes), with Arabic letters unified to their Urdu counterparts per
-``_UNIFY``.
+``_UNIFY`` by ``str.replace``.  Tokenization splits text on whitespace,
+and a chunk that is not letters-only by one ``str.translate`` through
+``_WORD_CHARS``, which turns every non-word character into a space.
 """
 
 import re
 import unicodedata
 from collections.abc import Iterator
-from itertools import dropwhile, groupby
+from itertools import dropwhile
 
 from urdustem.graphemes import extends_cluster
 
@@ -31,7 +33,6 @@ _UNIFY = {
     "\u0629": "\u06c1",  # ARABIC LETTER TEH MARBUTA -> ARABIC LETTER HEH GOAL
     "\u06c3": "\u06c1",  # ARABIC LETTER TEH MARBUTA GOAL -> ARABIC LETTER HEH GOAL
 }
-_UNIFIABLE = re.compile("[" + re.escape("".join(_UNIFY)) + "]")
 
 
 def normalize(text: str, strip_diacritics: bool = True) -> str:
@@ -40,12 +41,16 @@ def normalize(text: str, strip_diacritics: bool = True) -> str:
     Output is NFC with the letter-unification table applied; when
     *strip_diacritics* is set, the Arabic-block marks in ``_DIACRITICS``
     and tatweel are removed first.  Other marks (Latin U+0301, Arabic
-    Extended-A) are kept.
+    Extended-A) are kept.  Each ``_UNIFY`` letter that the text holds is
+    replaced in one ``str.replace``; the order does not matter, since no
+    Urdu letter that is written is itself a key.
     """
     text = unicodedata.normalize("NFC", text)
     if strip_diacritics:
         text = _DIACRITICS.sub("", text)
-    text = _UNIFIABLE.sub(lambda m: _UNIFY[m[0]], text)
+    for arabic, urdu in _UNIFY.items():
+        if arabic in text:
+            text = text.replace(arabic, urdu)
     return unicodedata.normalize("NFC", text)
 
 
@@ -70,13 +75,33 @@ def data_lines(text: str, error, strip_diacritics: bool = False) -> Iterator[tup
             yield lineno, line
 
 
+class _WordChars(dict):
+    """``str.translate`` table, filled on first use: a word character (a
+    letter, or a mark or joiner that ``extends_cluster``) maps to itself,
+    any other code point to a space."""
+
+    def __missing__(self, cp: int) -> int:
+        ch = chr(cp)
+        self[cp] = cp if ch.isalpha() or extends_cluster(ch) else 0x20
+        return self[cp]
+
+
+_WORD_CHARS = _WordChars()
+
+
 class _ChunkWords(dict):
     """``tokenize``'s memo: the words of a chunk that is not letters-only."""
 
     def __missing__(self, chunk: str) -> list[str]:
-        runs = groupby(chunk, lambda ch: ch.isalpha() or extends_cluster(ch))
-        starts = (dropwhile(extends_cluster, run) for in_word, run in runs if in_word)
-        words = self[chunk] = [word for word in map("".join, starts) if word]
+        # No word character is whitespace, so split() cuts exactly at the
+        # characters that the table made spaces.
+        words = self[chunk] = []
+        for run in chunk.translate(_WORD_CHARS).split():
+            if not run[0].isalpha():
+                # Marks and joiners that no letter precedes are dropped.
+                run = "".join(dropwhile(extends_cluster, run))
+            if run:
+                words.append(run)
         return words
 
 
@@ -91,8 +116,9 @@ def tokenize(text: str, chunk_words: _ChunkWords | None = None) -> list[str]:
     whitespace-free chunks by ``str.split``.  A chunk of letters only is one
     word as it stands; any other chunk, each distinct one once per call, or
     once per *chunk_words* memo that the caller keeps across calls, is split
-    into its runs of word characters, and each run loses its leading marks
-    and joiners.
+    into its runs of word characters by one ``str.translate`` through
+    ``_WORD_CHARS`` and a second ``str.split``, and each run loses its
+    leading marks and joiners.
     """
     words: list[str] = []
     if chunk_words is None:

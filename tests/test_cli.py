@@ -99,7 +99,7 @@ class TestStem:
         code, from_file, _ = run(
             capsys, "stem", table2_input, "--rules", data.path(data.TABLE2_RULES), "--pretokenized"
         )
-        content = open(table2_input, "rb").read()
+        content = Path(table2_input).read_bytes()
         monkeypatch.setattr(sys, "stdin", type("S", (), {"buffer": io.BytesIO(content)})())
         code2, from_stdin, _ = run(
             capsys, "stem", "-", "--rules", data.path(data.TABLE2_RULES), "--pretokenized"
@@ -828,15 +828,22 @@ class TestClosedStdout:
         assert raw.data.decode("utf-8") == reference_output(words, default_rules, True)
 
     def test_one_short_write_then_a_closed_pipe_exits_141_quietly(self, tmp_path):
+        # Five calls, so that a descriptor leaked by each one would show.
         p = tmp_path / "lexicon.tsv"
         p.write_text("noun\tلڑکا\n", encoding="utf-8")
-        stderr = io.StringIO()
-        with open(tmp_path / "stdout", "wb") as target:  # main points this file at devnull
-            raw = _ClosingPipe(target.fileno())
-            with redirect_stdout(io.TextIOWrapper(raw, encoding="utf-8")), redirect_stderr(stderr):
-                code = main(["gen", "--lexicon", str(p)])
-        assert code == EXIT_PIPE and stderr.getvalue() == ""
-        assert raw.calls == 2
+        proc_fd = Path("/proc/self/fd")
+        open_fds = []
+        for _ in range(5):
+            stderr = io.StringIO()
+            with open(tmp_path / "stdout", "wb") as target:  # main points this file at devnull
+                raw = _ClosingPipe(target.fileno())
+                with redirect_stdout(io.TextIOWrapper(raw, encoding="utf-8")), redirect_stderr(stderr):
+                    code = main(["gen", "--lexicon", str(p)])
+            assert code == EXIT_PIPE and stderr.getvalue() == ""
+            assert raw.calls == 2
+            if proc_fd.is_dir():
+                open_fds.append(len(os.listdir(proc_fd)))
+        assert len(set(open_fds)) <= 1
 
 
 class TestPassBound:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from urdustem import data
-from urdustem.corpus import data_lines, normalize, tokenize
-from urdustem.graphemes import ZWJ, ZWNJ
+from urdustem.corpus import _ChunkWords, _WordChars, data_lines, normalize, tokenize
+from urdustem.graphemes import ZWJ, ZWNJ, extends_cluster
 from urdustem.stemmer import stem_batch
 
 from conftest import DIACRITICS, URDU_LETTERS
@@ -229,12 +229,25 @@ class TestTokenize:
     # Whitespace beyond ASCII, ZWSP (Cf, not whitespace), Latin letters and
     # symbols, marks and ZWNJ that can open a chunk, and letters fused to
     # punctuation and digits.
-    @given(st.text(alphabet=(
+    MIXED = (
         "\u00a0\u0085\u1680\u2009\u3000\x1c \n\t" + "\u200b"
         + "abcXYZ_$+" + URDU_LETTERS + DIACRITICS + ZWNJ + "۔،" + "09۴"
-    )))
+    )
+
+    @given(st.text(alphabet=MIXED))
     def test_matches_reference_on_mixed_scripts_and_separators(self, text):
         assert tokenize(text) == reference_tokenize(text)
+
+    # Astral letters (Lu, Lo) and marks (Mn, Mc), and lone surrogates.
+    @given(st.lists(st.text(alphabet=(
+        MIXED + "\U00010400\U0001e900\U00020000" + "\U0001d167\U000e0100\U00011000"
+        + "\ud800\udfff"
+    ))))
+    def test_a_memo_kept_across_texts_gives_each_text_its_own_words(self, texts):
+        # As cmd_stem keeps one memo across its input blocks.
+        shared = _ChunkWords()
+        for text in texts:
+            assert tokenize(text, shared) == tokenize(text, _ChunkWords()) == reference_tokenize(text)
 
     def test_matches_reference_on_every_code_point(self):
         every = "".join(map(chr, range(sys.maxunicode + 1)))
@@ -246,11 +259,25 @@ class TestTokenize:
 
 
 class TestTokenizeChunkFacts:
-    """The two Unicode facts ``tokenize``'s chunking and letters-only fast
-    path rest on, checked over every code point of the running
-    interpreter's database."""
+    """The Unicode facts ``tokenize``'s chunking, letters-only fast path and
+    word-character table rest on, checked over every code point of the
+    running interpreter's database."""
 
     ALL = "".join(map(chr, range(sys.maxunicode + 1)))
+
+    @staticmethod
+    def _is_word_char(ch: str) -> bool:
+        return ch.isalpha() or extends_cluster(ch)
+
+    def test_no_word_character_is_whitespace(self):
+        # So a chunk translated through _WORD_CHARS splits only at the
+        # spaces the table wrote.
+        assert [ch for ch in self.ALL if self._is_word_char(ch) and ch.isspace()] == []
+
+    def test_word_chars_keeps_exactly_the_word_characters(self):
+        table = _WordChars()
+        assert [ch for ch in self.ALL
+                if table[ord(ch)] != (ord(ch) if self._is_word_char(ch) else 0x20)] == []
 
     def test_str_split_drops_exactly_the_isspace_characters(self):
         assert "".join(self.ALL.split()) == "".join(ch for ch in self.ALL if not ch.isspace())
