@@ -15,11 +15,12 @@ stdout stays empty unless the exit code is 0 or 141.  Output (all of it
 through ``_write``) and error messages are UTF-8 whatever the locale.
 
 ``stem`` holds its input as bytes, not as text, and processes it in
-blocks of whole lines (``_INPUT_BLOCK`` bytes or more): a first pass
-decodes each block and checks it, a second normalizes, tokenizes and
-stems it, keeping one output line per distinct word across blocks, and
-writes the block's tokens ``_BLOCK`` at a time.  So its memory follows
-the input's size in bytes and its vocabulary, not its length as text.
+blocks of ``_INPUT_BLOCK`` bytes or more, cut where no word can span:
+after an LF with ``--pretokenized``, after any ASCII whitespace byte
+otherwise.  A first pass decodes each block and checks it, a second
+normalizes, tokenizes and stems it, keeping one output line per distinct
+word across blocks, and writes the block's output in one write.  So its
+memory follows the input's bytes and vocabulary, not its text or lines.
 
 Start-up imports only what ``stem`` needs: ``eval`` and ``gen`` import
 ``evaluation`` and ``morphology`` when they run, and ``stem --json``
@@ -29,6 +30,7 @@ imports its string escaper from ``json.encoder``.
 import argparse
 import codecs
 import os
+import re
 import sys
 
 from urdustem import corpus
@@ -48,18 +50,13 @@ EXIT_VALIDATION = 1
 EXIT_INPUT = 2
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool that SIGPIPE stopped
 
-# Input bytes per block, rounded up to the end of a line.  Cutting after an
-# LF changes no word: in UTF-8 the byte 0x0A is never inside a multi-byte
-# sequence, LF is a starter that composes with nothing (so normalize acts
-# within lines), and tokenize and the --pretokenized line split both cut at
-# LF.
+# Input bytes per block, rounded up to just after an LF with --pretokenized
+# and just after any ASCII whitespace byte (space, tab, LF, VT, FF, CR)
+# otherwise.  Neither cut splits a word: in UTF-8 none of these bytes is
+# inside a multi-byte sequence, each is a starter that composes with nothing
+# (so normalize acts within blocks), and the --pretokenized line split cuts
+# at LF as tokenize cuts at all six.  Each block's output is one write.
 _INPUT_BLOCK = 1 << 14
-
-# Tokens per stdout write: stem holds one joined block beside its lines, not
-# the whole output, and writing the whole output at once was no faster.  Nor
-# is a write a whole input block's output, which for an input of one long
-# line is the whole output.
-_BLOCK = 1024
 
 # A --json line has a fixed schema.  Its strings go through *q*,
 # json.encoder.encode_basestring (cmd_stem imports it only for --json), the
@@ -153,16 +150,19 @@ def _stem_config(args) -> StemConfig:
         raise CliError(str(exc), EXIT_INPUT) from exc
 
 
-def _input_blocks(path: str, data: bytes):
+def _input_blocks(path: str, data: bytes, pretokenized: bool):
     """The text of each block of *data*, the bytes of the file at *path*.
 
-    A block is the shortest run of whole lines of at least ``_INPUT_BLOCK``
-    bytes, or the rest of the input; the one BOM at byte 0 is dropped.
+    A block is the shortest run of at least ``_INPUT_BLOCK`` bytes that ends
+    just after an LF if *pretokenized*, else just after an ASCII whitespace
+    byte, or the rest of the input; the one BOM at byte 0 is dropped.
     """
+    cut = re.compile(rb"\n" if pretokenized else rb"\s")
     with memoryview(data) as view:
         start = 0
         while start < len(data):
-            end = data.find(b"\n", start + _INPUT_BLOCK - 1) + 1 or len(data)
+            m = cut.search(data, start + _INPUT_BLOCK - 1)
+            end = m.end() if m else len(data)
             text = _decode(path, view[start:end], start)
             yield text.removeprefix("\ufeff") if start == 0 else text
             start = end
@@ -174,7 +174,7 @@ def cmd_stem(args) -> int:
     data = _read_bytes(args.input)
     # Pass 1 keeps nothing: it raises every input error before the first write.
     lineno = 1  # of the block's first line
-    for text in _input_blocks(args.input, data):
+    for text in _input_blocks(args.input, data, args.pretokenized):
         if args.pretokenized and ("\t" in text or "\r" in text):
             words = map(str.strip, corpus.normalize(text, args.strip_diacritics).split("\n"))
             for i, word in enumerate(words, start=lineno):
@@ -186,7 +186,7 @@ def cmd_stem(args) -> int:
         from json.encoder import encode_basestring
     lines: dict[str, str] = {}  # each distinct word's output line, kept across blocks
     chunk_words = corpus._ChunkWords()
-    for text in _input_blocks(args.input, data):
+    for text in _input_blocks(args.input, data, args.pretokenized):
         text = corpus.normalize(text, args.strip_diacritics)
         words = ([w for w in map(str.strip, text.split("\n")) if w] if args.pretokenized
                  else corpus.tokenize(text, chunk_words))
@@ -198,8 +198,7 @@ def cmd_stem(args) -> int:
         for w, r in zip(new, results):
             lines[w] = (_json_line(r, encode_basestring) if args.json
                         else "\t".join((w, shown_affix(r.prefix), r.stem, shown_affix(r.suffix))) + "\n")
-        for i in range(0, len(words), _BLOCK):
-            _write("".join(map(lines.__getitem__, words[i:i + _BLOCK])))
+        _write("".join(map(lines.__getitem__, words)))
     return EXIT_OK
 
 

@@ -41,16 +41,15 @@ def normalize(text: str, strip_diacritics: bool = True) -> str:
     Output is NFC with the letter-unification table applied; when
     *strip_diacritics* is set, the Arabic-block marks in ``_DIACRITICS``
     and tatweel are removed first.  Other marks (Latin U+0301, Arabic
-    Extended-A) are kept.  Each ``_UNIFY`` letter that the text holds is
-    replaced in one ``str.replace``; the order does not matter, since no
-    Urdu letter that is written is itself a key.
+    Extended-A) are kept.  Each ``_UNIFY`` letter is replaced by one
+    ``str.replace``, one scan that returns the text itself if it is absent;
+    the order does not matter, as no Urdu letter written is itself a key.
     """
     text = unicodedata.normalize("NFC", text)
     if strip_diacritics:
         text = _DIACRITICS.sub("", text)
     for arabic, urdu in _UNIFY.items():
-        if arabic in text:
-            text = text.replace(arabic, urdu)
+        text = text.replace(arabic, urdu)
     return unicodedata.normalize("NFC", text)
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from urdustem import cli, corpus, data, evaluation, morphology, stemmer
-from urdustem.cli import _BLOCK, EXIT_PIPE, _json_line, main
+from urdustem.cli import EXIT_PIPE, _json_line, main
 from urdustem.graphemes import ZWJ, ZWNJ
 from urdustem.rules import RuleParseError, parse_rule_file
 from urdustem.stemmer import StemConfig, StemResult, stem_batch, stem_word
@@ -214,7 +214,7 @@ class TestStem:
 # Words that recur on both sides of every block edge; "بد نصیب" only as a
 # pretokenized line, since the tokenizer splits it.
 _BLOCK_WORDS = ["لڑکوں", "کتابیں", "علاقوں", "فاصلے", "نوجوان", "کتاب", "لڑکیاں"]
-_BLOCK_COUNTS = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+_BLOCK_COUNTS = [0, 1, 1023, 1024, 1025, 2049]
 
 
 class _Writes:
@@ -237,7 +237,7 @@ def _block_words(n, pretokenized):
 
 
 class TestBlocks:
-    """``stem`` writes each input block's tokens ``_BLOCK`` at a time."""
+    """``stem`` writes each input block's output in one write."""
 
     @pytest.mark.parametrize("n", _BLOCK_COUNTS)
     @pytest.mark.parametrize("mode", [(), ("--json",), ("--pretokenized",), ("--pretokenized", "--json")],
@@ -252,26 +252,28 @@ class TestBlocks:
 
     @pytest.mark.parametrize("n", _BLOCK_COUNTS)
     def test_one_write_per_block(self, tmp_path, monkeypatch, default_rules, n):
-        # Input blocks of about 1,240 lines: more than _BLOCK in every block
-        # but the last, which holds the rest.
+        # Input blocks of about 1,240 words, one a line with --pretokenized
+        # and all on one line in running text: more than 1,024 in every
+        # block but the last, which holds the rest.
         monkeypatch.setattr(cli, "_INPUT_BLOCK", 15000)
-        words = _block_words(n, True)
-        p = tmp_path / "in.txt"
-        p.write_text("".join(w + "\n" for w in words), encoding="utf-8")
-        stdout = _Writes()
-        with redirect_stdout(stdout):
-            code = main(["stem", str(p), "--rules", data.path(data.DEFAULT_RULES), "--pretokenized"])
-        blocks, size = [[]], 0  # the shortest runs of whole lines of _INPUT_BLOCK bytes or more
-        for w in words:
-            if size >= cli._INPUT_BLOCK:
-                blocks.append([])
-                size = 0
-            blocks[-1].append(w)
-            size += len(w.encode("utf-8")) + 1
-        assert code == 0
-        assert all(call.count("\n") <= _BLOCK for call in stdout.calls)
-        assert stdout.calls == [reference_output(block[i:i + _BLOCK], default_rules, False)
-                                for block in blocks for i in range(0, len(block), _BLOCK)]
+        for mode, sep in [(["--pretokenized"], "\n"), ([], " ")]:
+            words = _block_words(n, bool(mode))
+            p = tmp_path / "in.txt"
+            p.write_text("".join(w + sep for w in words), encoding="utf-8")
+            stdout = _Writes()
+            with redirect_stdout(stdout):
+                code = main(["stem", str(p), "--rules", data.path(data.DEFAULT_RULES), *mode])
+            # The shortest runs of whole words, each with its separator (the
+            # cut byte), of _INPUT_BLOCK bytes or more.
+            blocks, size = [], cli._INPUT_BLOCK
+            for w in words:
+                if size >= cli._INPUT_BLOCK:
+                    blocks.append([])
+                    size = 0
+                blocks[-1].append(w)
+                size += len(w.encode("utf-8")) + 1
+            assert code == 0
+            assert stdout.calls == [reference_output(block, default_rules, False) for block in blocks]
 
     def test_peak_memory_is_a_few_times_the_output(self, tmp_path):
         """The traced peak of ``main`` on all-distinct words with ``--json``
@@ -559,12 +561,15 @@ class TestGen:
 # Line pieces for block-wise input: a U+FEFF, a combining acute, a Hangul V
 # jamo or a tab that opens a line, and a Hangul L jamo or a tab that closes
 # one, so that a block edge falls between characters that NFC would compose
-# or that the line trim drops.  Line contents hold no tab or CR, so that
-# every --pretokenized line is a valid word.
+# or that the line trim drops.  Line contents hold the ASCII whitespace that
+# cuts running text (space, VT, FF) and whitespace that tokenize splits at
+# but no cut uses (U+0085, U+00A0, U+2003, U+3000, U+001C), but no tab or
+# CR, so that every --pretokenized line is a valid word.
 _LINE_LEAD = st.sampled_from(["", "", "\ufeff", "\u0301", "\u1161", "\t"])
 _LINE_TRAIL = st.sampled_from(["", "", "\u1100", "\t"])
 _LINE_BODY = st.lists(st.sampled_from([
     *_BLOCK_WORDS, "بد نصیب", " ", "۔", "2013", "a", "َ", "ـ", ZWNJ, "\u0643", "\ufeff",
+    "\x0b", "\x0c", "\x85", "\xa0", "\u2003", "\u3000", "\x1c",
 ]), max_size=5).map("".join)
 _BLOCK_TEXT = st.tuples(
     st.sampled_from(["", "\ufeff"]),
@@ -588,7 +593,8 @@ def _stdout_of(argv):
 
 class TestInputBlocks:
     """``stem`` reads its input in blocks of ``_INPUT_BLOCK`` or more bytes,
-    each ending just after an LF, and gives the output of the whole input."""
+    each ending just after an LF with --pretokenized and just after any ASCII
+    whitespace byte in running text, and gives the output of the whole input."""
 
     @settings(max_examples=300, deadline=None)
     @given(text=_BLOCK_TEXT, block=st.integers(1, 400), strip=st.booleans(),
@@ -633,14 +639,13 @@ class TestInputBlocks:
         assert code == 2 and stdout.calls == []
         assert message in stderr.getvalue()
 
-    def test_peak_memory_follows_the_vocabulary(self, tmp_path):
-        """The traced peak of ``main`` on 40 copies of a text exceeds its
-        peak on 4 copies by less than twice the input bytes added (about
-        once: the bytes themselves).  Holding the input as text, normalized
-        text and tokens at once grew it by about ten times those bytes."""
+    @staticmethod
+    def _peak_growth(tmp_path, line_end):
+        """The traced peak of ``main`` on 40 copies of a text, less its peak
+        on 4 copies, and the input bytes that the 36 more copies add."""
         rng = random.Random(24)
         vocab = [random_word(rng, 2, 8) for _ in range(400)]
-        text = "".join(" ".join(rng.choices(vocab, k=10)) + "\n" for _ in range(200))
+        text = "".join(" ".join(rng.choices(vocab, k=10)) + line_end for _ in range(200))
 
         def peak(copies):
             p = tmp_path / f"in{copies}.txt"
@@ -648,15 +653,28 @@ class TestInputBlocks:
             with open(os.devnull, "w", encoding="utf-8") as out, redirect_stdout(out):
                 tracemalloc.start()
                 try:
-                    code = main(["stem", str(p), "--rules", data.path(data.DEFAULT_RULES)])
-                    return code, tracemalloc.get_traced_memory()[1]
+                    assert main(["stem", str(p), "--rules", data.path(data.DEFAULT_RULES)]) == 0
+                    return tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
 
         peak(1)  # loads what every later call reuses
-        (code4, peak4), (code40, peak40) = peak(4), peak(40)
-        assert code4 == code40 == 0
-        assert peak40 - peak4 < 2 * 36 * len(text.encode("utf-8"))
+        return peak(40) - peak(4), 36 * len(text.encode("utf-8"))
+
+    def test_peak_memory_follows_the_vocabulary(self, tmp_path):
+        """The traced peak of ``main`` on 40 copies of a text exceeds its
+        peak on 4 copies by less than twice the input bytes added (about
+        once: the bytes themselves).  Holding the input as text, normalized
+        text and tokens at once grew it by about ten times those bytes."""
+        growth, added = self._peak_growth(tmp_path, "\n")
+        assert growth < 2 * added
+
+    def test_peak_memory_follows_the_vocabulary_on_one_line(self, tmp_path):
+        """The same bound with the text's LFs made spaces, so that the input
+        is one line.  Blocks of whole lines made that line one block, and its
+        peak grew by about eleven times the bytes added."""
+        growth, added = self._peak_growth(tmp_path, " ")
+        assert growth < 2 * added
 
 
 class TestStdinNamedOnce:
@@ -805,13 +823,15 @@ class TestClosedStdout:
     def test_reader_closing_the_pipe_during_the_only_write_exits_141_quietly(self, tmp_path, command):
         # Each output, far larger than a pipe buffer, goes out in one write:
         # gen's gold for 5,000 nouns (about 0.8 MB), and the --json lines of
-        # 1,000 distinct words (about 0.1 MB, fewer than _BLOCK tokens).
+        # 1,000 distinct words (about 0.1 MB, from 11 KB of input: one
+        # input block).
         p = tmp_path / "in.txt"
         if command == "gen":
             p.write_text("".join(f"noun\t{w}\n" for w in _distinct_words(5000, "ا")), encoding="utf-8")
             argv = ["gen", "--lexicon", str(p)]
         else:
             p.write_text("".join(w + "\n" for w in _distinct_words(1000, "وں")), encoding="utf-8")
+            assert p.stat().st_size < cli._INPUT_BLOCK
             argv = ["stem", str(p), "--rules", data.path(data.DEFAULT_RULES), "--pretokenized", "--json"]
         code, err, first = _run_until_first_line(argv)
         assert code == EXIT_PIPE
@@ -846,19 +866,33 @@ class TestClosedStdout:
         assert len(set(open_fds)) <= 1
 
 
+def _stem_or_eval_argv(command, tmp_path):
+    """The arguments of *command*, ``stem`` or ``eval``, on a valid input."""
+    p = tmp_path / "gold.tsv"
+    p.write_text("لڑکوں\tلڑک\n", encoding="utf-8")
+    rules = data.path(data.DEFAULT_RULES)
+    return (["stem", str(p), "--rules", rules] if command == "stem"
+            else ["eval", "--rules", rules, "--gold", str(p)])
+
+
 class TestPassBound:
     @pytest.mark.parametrize("value", ["-1", "5"])
     @pytest.mark.parametrize("flag", ["--suffix-passes", "--prefix-passes"])
     @pytest.mark.parametrize("command", ["stem", "eval"])
     def test_pass_count_outside_0_to_4_exits_2(self, capsys, tmp_path, command, flag, value):
-        p = tmp_path / "gold.tsv"
-        p.write_text("لڑکوں\tلڑک\n", encoding="utf-8")
-        rules = data.path(data.DEFAULT_RULES)
-        argv = (["stem", str(p), "--rules", rules] if command == "stem"
-                else ["eval", "--rules", rules, "--gold", str(p)])
-        code, out, err = run(capsys, *argv, flag, value)
+        code, out, err = run(capsys, *_stem_or_eval_argv(command, tmp_path), flag, value)
         assert code == 2 and out == ""
         assert "0..4" in err
+
+
+class TestBooleanFlag:
+    @pytest.mark.parametrize("command", ["stem", "eval"])
+    def test_a_value_that_is_not_a_boolean_exits_2(self, capsys, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*_stem_or_eval_argv(command, tmp_path), "--strip-diacritics=maybe"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "expected a boolean, got 'maybe'" in err
 
 
 # One data file per command that reads it.
