@@ -16,11 +16,19 @@ through ``_write``) and error messages are UTF-8 whatever the locale.
 
 ``stem`` holds its input as bytes, not as text, and processes it in
 blocks of ``_INPUT_BLOCK`` bytes or more, cut where no word can span:
-after an LF with ``--pretokenized``, after any ASCII whitespace byte
-otherwise.  A first pass decodes each block and checks it, a second
-normalizes, tokenizes and stems it, keeping one output line per distinct
-word across blocks, and writes the block's output in one write.  So its
-memory follows the input's bytes and vocabulary, not its text or lines.
+after an LF with ``--pretokenized``, after any character that
+``str.split`` splits at otherwise.  A first pass decodes each block and
+checks it, a second normalizes, tokenizes and stems it, keeping one
+output line per distinct word across blocks, and writes the block's
+output in one write.  So its memory follows the input's bytes and
+vocabulary, not its text or lines; only a run of text with no whitespace
+at all stays one block, however long.
+
+Each command runs with the cyclic garbage collector paused.  The
+commands make no reference cycles, so reference counting frees all they
+drop, and the collector would only re-scan what they keep alive: for
+``eval``, a tuple per gold entry, per result and per scored pair, scanned
+dozens of times per run for no garbage.
 
 Start-up imports only what ``stem`` needs: ``eval`` and ``gen`` import
 ``evaluation`` and ``morphology`` when they run, and ``stem --json``
@@ -29,6 +37,7 @@ imports its string escaper from ``json.encoder``.
 
 import argparse
 import codecs
+import gc
 import os
 import re
 import sys
@@ -51,12 +60,21 @@ EXIT_INPUT = 2
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool that SIGPIPE stopped
 
 # Input bytes per block, rounded up to just after an LF with --pretokenized
-# and just after any ASCII whitespace byte (space, tab, LF, VT, FF, CR)
-# otherwise.  Neither cut splits a word: in UTF-8 none of these bytes is
-# inside a multi-byte sequence, each is a starter that composes with nothing
-# (so normalize acts within blocks), and the --pretokenized line split cuts
-# at LF as tokenize cuts at all six.  Each block's output is one write.
+# and just after any character in _WHITESPACE otherwise.  Neither cut splits
+# a word: in UTF-8 each of these characters starts a new sequence, so its
+# bytes never occur inside another character's; each is a starter that
+# composes with nothing, and only U+2000 and U+2001 change under NFC, to one
+# character each (so normalize acts within blocks); and the --pretokenized
+# line split cuts at LF as tokenize cuts at all of them.  Each block's
+# output is one write.
 _INPUT_BLOCK = 1 << 14
+
+# Every character that str.split() splits at, which tokenize cuts words at,
+# and a bytes pattern for their UTF-8 encodings (compiled on first use, so
+# that no other command pays for it).
+_WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+               "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+_WHITESPACE_UTF8 = b"|".join(re.escape(c.encode("utf-8")) for c in _WHITESPACE)
 
 # A --json line has a fixed schema.  Its strings go through *q*,
 # json.encoder.encode_basestring (cmd_stem imports it only for --json), the
@@ -154,14 +172,19 @@ def _input_blocks(path: str, data: bytes, pretokenized: bool):
     """The text of each block of *data*, the bytes of the file at *path*.
 
     A block is the shortest run of at least ``_INPUT_BLOCK`` bytes that ends
-    just after an LF if *pretokenized*, else just after an ASCII whitespace
-    byte, or the rest of the input; the one BOM at byte 0 is dropped.
+    just after an LF if *pretokenized*, else just after the UTF-8 bytes of a
+    character in ``_WHITESPACE``, or the rest of the input; the one BOM at
+    byte 0 is dropped.
     """
-    cut = re.compile(rb"\n" if pretokenized else rb"\s")
+    cut = re.compile(rb"\n" if pretokenized else _WHITESPACE_UTF8)
     with memoryview(data) as view:
         start = 0
         while start < len(data):
-            m = cut.search(data, start + _INPUT_BLOCK - 1)
+            # From 3 bytes back, the longest encoding in _WHITESPACE, so that
+            # a cut character that straddles the block's minimum is found.
+            m = cut.search(data, start + _INPUT_BLOCK - 3)
+            while m and m.end() < start + _INPUT_BLOCK:
+                m = cut.search(data, m.end())
             end = m.end() if m else len(data)
             text = _decode(path, view[start:end], start)
             yield text.removeprefix("\ufeff") if start == 0 else text
@@ -299,7 +322,13 @@ def main(argv=None) -> int:
         if len(stdin_args) > 1:
             raise CliError(f"stdin can be read only once, but {' and '.join(stdin_args)} both name -",
                            EXIT_INPUT)
-        code = args.func(args)
+        enabled = gc.isenabled()
+        gc.disable()  # the module docstring says why
+        try:
+            code = args.func(args)
+        finally:
+            if enabled:
+                gc.enable()
         sys.stdout.flush()  # so that a closed pipe is seen here, not at exit
         return code
     except CliError as exc:

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -256,7 +257,7 @@ class TestBlocks:
         # and all on one line in running text: more than 1,024 in every
         # block but the last, which holds the rest.
         monkeypatch.setattr(cli, "_INPUT_BLOCK", 15000)
-        for mode, sep in [(["--pretokenized"], "\n"), ([], " ")]:
+        for mode, sep in [(["--pretokenized"], "\n"), ([], " "), ([], "\xa0")]:
             words = _block_words(n, bool(mode))
             p = tmp_path / "in.txt"
             p.write_text("".join(w + sep for w in words), encoding="utf-8")
@@ -264,14 +265,14 @@ class TestBlocks:
             with redirect_stdout(stdout):
                 code = main(["stem", str(p), "--rules", data.path(data.DEFAULT_RULES), *mode])
             # The shortest runs of whole words, each with its separator (the
-            # cut byte), of _INPUT_BLOCK bytes or more.
+            # cut character, 1 or 2 bytes), of _INPUT_BLOCK bytes or more.
             blocks, size = [], cli._INPUT_BLOCK
             for w in words:
                 if size >= cli._INPUT_BLOCK:
                     blocks.append([])
                     size = 0
                 blocks[-1].append(w)
-                size += len(w.encode("utf-8")) + 1
+                size += len((w + sep).encode("utf-8"))
             assert code == 0
             assert stdout.calls == [reference_output(block, default_rules, False) for block in blocks]
 
@@ -561,15 +562,16 @@ class TestGen:
 # Line pieces for block-wise input: a U+FEFF, a combining acute, a Hangul V
 # jamo or a tab that opens a line, and a Hangul L jamo or a tab that closes
 # one, so that a block edge falls between characters that NFC would compose
-# or that the line trim drops.  Line contents hold the ASCII whitespace that
-# cuts running text (space, VT, FF) and whitespace that tokenize splits at
-# but no cut uses (U+0085, U+00A0, U+2003, U+3000, U+001C), but no tab or
-# CR, so that every --pretokenized line is a valid word.
+# or that the line trim drops.  Line contents hold whitespace that cuts
+# running text but not --pretokenized lines, of each UTF-8 length: space,
+# VT, FF and U+001C; U+0085 and U+00A0; U+2000 (which NFC maps to U+2002),
+# U+2003, U+2028 and U+3000.  They hold no tab or CR, so that every
+# --pretokenized line is a valid word.
 _LINE_LEAD = st.sampled_from(["", "", "\ufeff", "\u0301", "\u1161", "\t"])
 _LINE_TRAIL = st.sampled_from(["", "", "\u1100", "\t"])
 _LINE_BODY = st.lists(st.sampled_from([
     *_BLOCK_WORDS, "بد نصیب", " ", "۔", "2013", "a", "َ", "ـ", ZWNJ, "\u0643", "\ufeff",
-    "\x0b", "\x0c", "\x85", "\xa0", "\u2003", "\u3000", "\x1c",
+    "\x0b", "\x0c", "\x85", "\xa0", "\u2000", "\u2003", "\u2028", "\u3000", "\x1c",
 ]), max_size=5).map("".join)
 _BLOCK_TEXT = st.tuples(
     st.sampled_from(["", "\ufeff"]),
@@ -593,8 +595,9 @@ def _stdout_of(argv):
 
 class TestInputBlocks:
     """``stem`` reads its input in blocks of ``_INPUT_BLOCK`` or more bytes,
-    each ending just after an LF with --pretokenized and just after any ASCII
-    whitespace byte in running text, and gives the output of the whole input."""
+    each ending just after an LF with --pretokenized and just after any
+    character that ``str.split`` splits at in running text, and gives the
+    output of the whole input."""
 
     @settings(max_examples=300, deadline=None)
     @given(text=_BLOCK_TEXT, block=st.integers(1, 400), strip=st.booleans(),
@@ -640,12 +643,12 @@ class TestInputBlocks:
         assert message in stderr.getvalue()
 
     @staticmethod
-    def _peak_growth(tmp_path, line_end):
+    def _peak_growth(tmp_path, space, line_end):
         """The traced peak of ``main`` on 40 copies of a text, less its peak
         on 4 copies, and the input bytes that the 36 more copies add."""
         rng = random.Random(24)
         vocab = [random_word(rng, 2, 8) for _ in range(400)]
-        text = "".join(" ".join(rng.choices(vocab, k=10)) + line_end for _ in range(200))
+        text = "".join(space.join(rng.choices(vocab, k=10)) + line_end for _ in range(200))
 
         def peak(copies):
             p = tmp_path / f"in{copies}.txt"
@@ -666,15 +669,47 @@ class TestInputBlocks:
         peak on 4 copies by less than twice the input bytes added (about
         once: the bytes themselves).  Holding the input as text, normalized
         text and tokens at once grew it by about ten times those bytes."""
-        growth, added = self._peak_growth(tmp_path, "\n")
+        growth, added = self._peak_growth(tmp_path, " ", "\n")
         assert growth < 2 * added
 
     def test_peak_memory_follows_the_vocabulary_on_one_line(self, tmp_path):
         """The same bound with the text's LFs made spaces, so that the input
         is one line.  Blocks of whole lines made that line one block, and its
         peak grew by about eleven times the bytes added."""
-        growth, added = self._peak_growth(tmp_path, " ")
+        growth, added = self._peak_growth(tmp_path, " ", " ")
         assert growth < 2 * added
+
+    def test_peak_memory_follows_the_vocabulary_with_no_ascii_whitespace(self, tmp_path):
+        """The same bound with every space and LF made U+00A0.  Cuts at ASCII
+        whitespace alone made the whole input one block."""
+        growth, added = self._peak_growth(tmp_path, "\xa0", "\xa0")
+        assert growth < 2 * added
+
+    @given(text=st.lists(st.sampled_from(["کتاب", "a", "\u0301", *cli._WHITESPACE]), max_size=30).map("".join),
+           block=st.integers(1, 12))
+    def test_a_block_is_the_shortest_run_that_ends_after_whitespace(self, text, block):
+        # Counted in characters: a multi-byte cut character that straddles
+        # the block's minimum size ends the block.
+        expected, size = [], block
+        for ch in text:
+            if size >= block:
+                expected.append("")
+                size = 0
+            expected[-1] += ch
+            size += len(ch.encode("utf-8"))
+            if ch not in cli._WHITESPACE:
+                size = min(size, block - 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_INPUT_BLOCK", block)
+            assert list(cli._input_blocks("in.txt", text.encode("utf-8"), False)) == expected
+
+    def test_running_text_is_cut_at_every_character_that_split_splits_at(self):
+        whitespace = [chr(cp) for cp in range(sys.maxunicode + 1) if chr(cp).isspace()]
+        assert "".join(whitespace) == cli._WHITESPACE
+        for ch in whitespace:
+            # A starter, and one character under NFC.
+            assert unicodedata.combining(ch) == 0
+            assert len(unicodedata.normalize("NFC", ch)) == 1
 
 
 class TestStdinNamedOnce:
@@ -864,6 +899,87 @@ class TestClosedStdout:
             if proc_fd.is_dir():
                 open_fds.append(len(os.listdir(proc_fd)))
         assert len(set(open_fds)) <= 1
+
+
+class TestCollectorPause:
+    """``main`` runs each command with the cyclic garbage collector off, and
+    turns it back on after only if it was on before.  That is safe because
+    the commands make no reference cycles."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("code", [0, 1, 2, EXIT_PIPE])
+    def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, code, enabled):
+        text, bad, lexicon = tmp_path / "in.txt", tmp_path / "bad.rules", tmp_path / "lexicon.tsv"
+        text.write_text("لڑکوں کتابیں\n", encoding="utf-8")
+        bad.write_text("S\tی\tیاں\n", encoding="utf-8")
+        lexicon.write_text("noun\tلڑکا\n", encoding="utf-8")
+        rules = data.path(data.DEFAULT_RULES)
+        argv = {0: ["stem", str(text), "--rules", rules],
+                1: ["stem", str(text), "--rules", str(bad)],
+                2: ["stem", str(tmp_path / "nope.txt"), "--rules", rules],
+                EXIT_PIPE: ["gen", "--lexicon", str(lexicon)]}[code]
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with open(tmp_path / "stdout", "wb") as target, redirect_stderr(io.StringIO()):
+                # A reader that closes the pipe during the first write, as in TestClosedStdout.
+                stdout = (io.TextIOWrapper(_ClosingPipe(target.fileno()), encoding="utf-8")
+                          if code == EXIT_PIPE else io.StringIO())
+                with redirect_stdout(stdout):
+                    assert main(argv) == code
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("argv", [["stem", "{text}"], ["eval", "--gold", "{gold}"],
+                                      ["rules", "validate"], ["gen", "--lexicon", "{lexicon}"]],
+                             ids=["stem", "eval", "rules", "gen"])
+    def test_every_command_writes_with_the_collector_off(self, tmp_path, monkeypatch, argv):
+        files = {"text": "لڑکوں کتابیں\n", "gold": "لڑکوں\tلڑک\n", "lexicon": "noun\tلڑکا\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        seen = []
+        monkeypatch.setattr(cli, "_write", lambda text: seen.append(gc.isenabled()))
+        argv = [arg.format(**{name: str(tmp_path / name) for name in files}) for arg in argv]
+        if argv[0] != "gen":
+            argv += ["--rules", data.path(data.DEFAULT_RULES)]
+        assert main(argv) == 0
+        assert seen and not any(seen)
+
+    @pytest.mark.parametrize("command", ["stem", "stem-json", "stem-pretokenized", "eval"])
+    def test_a_longer_input_leaves_no_more_garbage(self, tmp_path, command):
+        """With the collector off, one ``main`` call on 2,000 distinct words
+        leaves as many unreachable objects as one on 500 of them: argparse's
+        own, a fixed number per call.  A cycle made per word would add one
+        per word."""
+        rng = random.Random(29)
+        words = list(dict.fromkeys(random_word(rng, 3, 9) for _ in range(2500)))
+
+        def argv(n):
+            p, rules = tmp_path / f"in{n}.txt", data.path(data.DEFAULT_RULES)
+            if command == "eval":
+                p.write_text("".join(f"{w}\t{w}\n" for w in words[:n]), encoding="utf-8")
+                return ["eval", "--rules", rules, "--gold", str(p)]
+            sep = "\n" if command == "stem-pretokenized" else " "
+            p.write_text(sep.join(words[:n]), encoding="utf-8")
+            flags = {"stem": [], "stem-json": ["--json"], "stem-pretokenized": ["--pretokenized"]}
+            return ["stem", str(p), "--rules", rules, *flags[command]]
+
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            with open(os.devnull, "w", encoding="utf-8") as out, redirect_stdout(out):
+                assert main(argv(10)) == 0  # loads what every later call reuses
+                gc.collect()
+                counts = []
+                for n in (500, 2000):
+                    assert main(argv(n)) == 0
+                    counts.append(gc.collect())
+        finally:
+            if was:
+                gc.enable()
+        assert len(words) >= 2000
+        assert counts[0] == counts[1]
 
 
 def _stem_or_eval_argv(command, tmp_path):
