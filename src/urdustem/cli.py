@@ -50,7 +50,6 @@ from urdustem.stemmer import (
     StemConfig,
     StemError,
     StemResult,
-    shown_affix,
     stem_batch,
 )
 
@@ -76,17 +75,22 @@ _WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\
                "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 _WHITESPACE_UTF8 = b"|".join(re.escape(c.encode("utf-8")) for c in _WHITESPACE)
 
-# A --json line has a fixed schema.  Its strings go through *q*,
-# json.encoder.encode_basestring (cmd_stem imports it only for --json), the
-# escaper that JSONEncoder(ensure_ascii=False) applies to strings, so the
-# bytes match it.
-_JSON_LINE = '{"word": %s, "prefix": %s, "stem": %s, "suffix": %s, "applied": [%s], "exception": %s}\n'
-
-
+# A --json line has a fixed schema, built in one f-string from the unpacked
+# result, so no format string is parsed and no attribute is read per word.
+# Its strings go through *q*, json.encoder.encode_basestring (cmd_stem
+# imports it only for --json), the escaper that
+# JSONEncoder(ensure_ascii=False) applies to strings, so the bytes match it.
 def _json_line(r: StemResult, q) -> str:
-    return _JSON_LINE % (q(r.word), "null" if r.prefix is None else q(r.prefix), q(r.stem),
-                         "null" if r.suffix is None else q(r.suffix),
-                         ", ".join(map(q, r.applied)), "true" if r.exception_hit else "false")
+    word, stem, prefix, suffix, applied, exception = r
+    return (f'{{"word": {q(word)}, "prefix": {"null" if prefix is None else q(prefix)}, '
+            f'"stem": {q(stem)}, "suffix": {"null" if suffix is None else q(suffix)}, '
+            f'"applied": [{", ".join(map(q, applied))}], "exception": {"true" if exception else "false"}}}\n')
+
+
+def _tsv_line(r: StemResult) -> str:
+    """The TSV line of *r*, each affix as ``shown_affix`` gives it."""
+    word, stem, prefix, suffix, _, _ = r
+    return f'{word}\t{prefix.strip() if prefix else ""}\t{stem}\t{suffix.strip() if suffix else ""}\n'
 
 
 # The file arguments of every command.  Stdin ("-") can be read only once,
@@ -207,6 +211,9 @@ def cmd_stem(args) -> int:
 
     if args.json:
         from json.encoder import encode_basestring
+        render = lambda r: _json_line(r, encode_basestring)
+    else:
+        render = _tsv_line
     lines: dict[str, str] = {}  # each distinct word's output line, kept across blocks
     chunk_words = corpus._ChunkWords()
     for text in _input_blocks(args.input, data, args.pretokenized):
@@ -218,9 +225,7 @@ def cmd_stem(args) -> int:
             results = stem_batch(new, rs, cfg)
         except StemError as exc:
             raise CliError(str(exc), EXIT_INPUT) from exc
-        for w, r in zip(new, results):
-            lines[w] = (_json_line(r, encode_basestring) if args.json
-                        else "\t".join((w, shown_affix(r.prefix), r.stem, shown_affix(r.suffix))) + "\n")
+        lines.update(zip(new, map(render, results)))
         _write("".join(map(lines.__getitem__, words)))
     return EXIT_OK
 

@@ -133,24 +133,26 @@ def evaluate(results, gold, stem_only: bool = False) -> EvalReport:
     if not gold:
         raise EvalError("accuracy is undefined for an empty evaluation set")
 
-    classes: list[ErrorClass] = []
     correct_types: set[str] = set()
-    pass_through = 0
+    correct = over = under = pass_through = 0
     for (r, g), n in Counter(zip(results, gold)).items():
         try:
             cls = classify_error(r, g, stem_only)
         except EvalError as exc:
             raise EvalError(f"entry {list(zip(results, gold)).index((r, g))}: {exc}") from exc
-        classes += [cls] * n
+        # Tallied by identity: an Enum member's __hash__ is Python code.
         if cls is ErrorClass.CORRECT:
+            correct += n
             correct_types.add(g.word)
             if r.is_pass_through:
                 pass_through += n
+        elif cls is ErrorClass.OVER_STEMMING:
+            over += n
+        elif cls is ErrorClass.UNDER_STEMMING:
+            under += n
 
-    # Counted by identity in C: an Enum member's __hash__ is Python code.
-    counts = {cls: classes.count(cls) for cls in ErrorClass}
     lengths = [graphemes.count(w) for w in {g.word for g in gold}]
-    total, correct = len(gold), counts[ErrorClass.CORRECT]
+    total = len(gold)
     return EvalReport(
         total_words=total,
         correct=correct,
@@ -158,9 +160,9 @@ def evaluate(results, gold, stem_only: bool = False) -> EvalReport:
         unique_correct=len(correct_types),
         pass_through_count=pass_through,
         accuracy_percent=Fraction(correct, total) * 100,
-        over_count=counts[ErrorClass.OVER_STEMMING],
-        under_count=counts[ErrorClass.UNDER_STEMMING],
-        other_count=counts[ErrorClass.OTHER],
+        over_count=over,
+        under_count=under,
+        other_count=total - correct - over - under,
         min_word_len=min(lengths),
         max_word_len=max(lengths),
     )
@@ -235,9 +237,11 @@ def parse_gold_file(text: str, strip_diacritics: bool = False) -> list[GoldEntry
             if line.startswith("#"):
                 continue
             fields = line.split("\t")
-            if len(fields) < 2 or len(fields) > 4:
-                raise GoldFileError(f"expected 2-4 tab-separated fields, got {len(fields)}", lineno)
-            word, stem, prefix, suffix = fields + [""] * (4 - len(fields))
+            if len(fields) != 4:  # a 4-field line, as gold_to_tsv writes, unpacks as it is
+                if len(fields) < 2 or len(fields) > 4:
+                    raise GoldFileError(f"expected 2-4 tab-separated fields, got {len(fields)}", lineno)
+                fields += [""] * (4 - len(fields))
+            word, stem, prefix, suffix = fields
             word = word.strip()
             if not word or not stem:
                 raise GoldFileError("gold word and expected_stem must be non-empty", lineno)

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from urdustem import cli, corpus, data, evaluation, morphology, stemmer
-from urdustem.cli import EXIT_PIPE, _json_line, main
+from urdustem.cli import EXIT_PIPE, _json_line, _tsv_line, main
 from urdustem.graphemes import ZWJ, ZWNJ
 from urdustem.rules import RuleParseError, parse_rule_file
-from urdustem.stemmer import StemConfig, StemResult, stem_batch, stem_word
+from urdustem.stemmer import StemConfig, StemResult, shown_affix, stem_batch, stem_word
 
 from conftest import DIACRITICS, URDU_LETTERS, random_word
 
@@ -45,6 +45,12 @@ _JSON_FIELD = st.text(alphabet=st.sampled_from(
     '"\\' + "".join(map(chr, range(0x20))) + "\x7f\u2028\ud800\udbff\udc00\udfff "
     + URDU_LETTERS + DIACRITICS + ZWNJ
 ), max_size=6)
+
+# TSV fields: Urdu letters, harakat, ZWNJ and inner spaces; an affix may
+# also have whitespace at either end, as table2's "بد " prefix has.
+_TSV_FIELD = st.text(alphabet=URDU_LETTERS + DIACRITICS + ZWNJ + " ", max_size=6)
+_TSV_AFFIX = st.tuples(st.sampled_from(["", " ", "\xa0", "\u3000 "]), _TSV_FIELD,
+                       st.sampled_from(["", " ", "\t", "\u2003"])).map("".join)
 
 
 @pytest.fixture
@@ -148,6 +154,17 @@ class TestStem:
              "applied": list(applied), "exception": exception}
         )
         assert _json_line(r, encode_basestring) == expected + "\n"
+
+    @given(
+        word=_TSV_FIELD, stem=_TSV_FIELD,
+        prefix=st.none() | _TSV_AFFIX, suffix=st.none() | _TSV_AFFIX,
+        applied=st.lists(_TSV_FIELD, max_size=3).map(tuple), exception=st.booleans(),
+    )
+    @example(word="بد نصیب", stem="نصیب", prefix="بد ", suffix=None, applied=("P:بد ",), exception=False)
+    def test_tsv_line_shows_affixes_as_shown_affix(self, word, stem, prefix, suffix, applied, exception):
+        r = StemResult(word, stem, prefix, suffix, applied, exception)
+        expected = "\t".join((word, shown_affix(prefix), stem, shown_affix(suffix))) + "\n"
+        assert _tsv_line(r) == expected
 
     def test_rule_with_arabic_letters_fires(self, capsys, tmp_path):
         # Input and rule file are unified alike, so the Arabic-yeh suffix fires.
@@ -580,6 +597,12 @@ _BLOCK_TEXT = st.tuples(
     st.sampled_from(["", "کتاب", "\u1100"]),  # a last line without an LF
 ).map("".join)
 
+# One --pretokenized line: pieces that table2's and the default rules strip
+# (a prefix with its space among them), harakat, ZWNJ and spaces.
+_PRETOKENIZED_WORD = st.lists(st.sampled_from(
+    ["بد ", "نو", "لا", "راج", "کتاب", "علاق", "فاصل", "وں", "ات", "یاں", "یں", "ے", "ی",
+     "\u064e", ZWNJ, " "]), max_size=5).map("".join)
+
 
 @pytest.fixture(scope="module")
 def blocks_dir(tmp_path_factory):
@@ -620,6 +643,30 @@ class TestInputBlocks:
         assert (code, err) == (0, "")
         assert out == expected
         assert sorted(calls) == sorted(set(words))
+
+    @settings(max_examples=100, deadline=None)
+    @given(words=st.lists(_PRETOKENIZED_WORD, max_size=25), block=st.integers(1, 300),
+           passes=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+           order=st.sampled_from([stemmer.SUFFIX_FIRST, stemmer.PREFIX_FIRST]),
+           rules=st.sampled_from([data.DEFAULT_RULES, data.TABLE2_RULES]), strip=st.booleans())
+    def test_tsv_and_json_lines_agree(self, blocks_dir, words, block, passes, order, rules, strip):
+        """Line *i* of ``stem --json`` has the word, trimmed affixes (null
+        read as "") and stem of line *i* of the TSV output."""
+        p = blocks_dir / "words.txt"
+        p.write_bytes("".join(w + "\n" for w in words).encode("utf-8"))
+        argv = ["stem", str(p), "--pretokenized", "--rules", data.path(rules), "--order", order,
+                "--suffix-passes", str(passes[0]), "--prefix-passes", str(passes[1]),
+                f"--strip-diacritics={strip}"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_INPUT_BLOCK", block)
+            tsv, as_json = _stdout_of(argv), _stdout_of([*argv, "--json"])
+        assert tsv[0] == as_json[0] == 0 and tsv[2] == as_json[2] == ""
+        tsv_lines, json_lines = tsv[1].split("\n"), as_json[1].split("\n")
+        lines = corpus.normalize("\n".join(words), strip).split("\n")
+        assert len(tsv_lines) == len(json_lines) == 1 + sum(1 for w in lines if w.strip())
+        for line, record in zip(tsv_lines[:-1], map(json.loads, json_lines[:-1])):
+            assert line.split("\t") == [record["word"], (record["prefix"] or "").strip(),
+                                        record["stem"], (record["suffix"] or "").strip()]
 
     @pytest.mark.parametrize("block", [1, 100, None], ids=["line", "100-bytes", "16KiB"])
     @pytest.mark.parametrize("error", ["byte", "tab"])

@@ -232,6 +232,15 @@ class TestEvaluate:
 
     @settings(max_examples=200, deadline=None)
     @given(cases=st.lists(_classify_cases(), min_size=1, max_size=12), stem_only=st.booleans())
+    # Each class once or more, since other_count is what the other three leave.
+    @example(cases=[
+        (result("کتابیں", "کتاب", suffix="یں"), GoldEntry("کتابیں", "کتاب", None, "یں")),
+        (result("پیشگی", "پیشگ", suffix="ی"), GoldEntry("پیشگی", "پیش", None, "گی")),
+        (result("بدمعاش", "ماش", prefix="بد"), GoldEntry("بدمعاش", "بدمعاش")),
+        (result("قلم", "قلب"), GoldEntry("قلم", "قلم")),
+        (result("قلم", "قلب"), GoldEntry("قلم", "قلم")),
+        (result("پیشگی", "پیشگ", suffix="ی"), GoldEntry("پیشگی", "پیش", None, "گی")),
+    ], stem_only=False)
     def test_class_counts_tally_classify_error(self, cases, stem_only):
         results, gold = zip(*cases)
         report = evaluate(results, gold, stem_only)
@@ -450,6 +459,10 @@ class TestGoldFileAgainstLineByLine:
     @settings(max_examples=400, deadline=None)
     @given(text=_gold_texts(), strip_diacritics=st.booleans())
     @example(text="قلم\tقلم\nقلم\nقلم\tقلم\nقلم\n", strip_diacritics=False)
+    # 2-, 3- and 4-field lines, then a 1- and a 5-field line after good ones.
+    @example(text="قلم\tقلم\nنوجوان\tجوان\tنو\nکتابیں\tکتاب\t\tیں\n", strip_diacritics=False)
+    @example(text="کتابیں\tکتاب\t\tیں\nقلم\tقلم\nقلم\n", strip_diacritics=False)
+    @example(text="نوجوان\tجوان\tنو\nکتابیں\tکتاب\t\tیں\nقلم\tقلم\t\t\tں\n", strip_diacritics=True)
     def test_entries_errors_and_sharing_match_the_reference(self, text, strip_diacritics):
         try:
             pairs = _parse_gold_lines_alone(text, strip_diacritics)
