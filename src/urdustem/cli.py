@@ -50,6 +50,7 @@ from urdustem.stemmer import (
     StemConfig,
     StemError,
     StemResult,
+    shown_affix,
     stem_batch,
 )
 
@@ -90,7 +91,7 @@ def _json_line(r: StemResult, q) -> str:
 def _tsv_line(r: StemResult) -> str:
     """The TSV line of *r*, each affix as ``shown_affix`` gives it."""
     word, stem, prefix, suffix, _, _ = r
-    return f'{word}\t{prefix.strip() if prefix else ""}\t{stem}\t{suffix.strip() if suffix else ""}\n'
+    return f"{word}\t{shown_affix(prefix)}\t{stem}\t{shown_affix(suffix)}\n"
 
 
 # The file arguments of every command.  Stdin ("-") can be read only once,

@@ -68,13 +68,11 @@ class EvalReport(NamedTuple):
 
 
 def _is_correct(result: StemResult, gold: GoldEntry, stem_only: bool) -> bool:
-    """Stems compare as they are; affixes as stored, then as ``stem`` prints them."""
+    """Stems compare as they are; affixes as ``stem`` prints them."""
     if result.stem != gold.expected_stem:
         return False
-    if stem_only or (result.prefix, result.suffix) == (gold.expected_prefix, gold.expected_suffix):
-        return True
-    return (shown_affix(result.prefix) == shown_affix(gold.expected_prefix)
-            and shown_affix(result.suffix) == shown_affix(gold.expected_suffix))
+    return stem_only or (shown_affix(result.prefix) == shown_affix(gold.expected_prefix)
+                         and shown_affix(result.suffix) == shown_affix(gold.expected_suffix))
 
 
 def _proper_subsequence(needle, haystack) -> bool:

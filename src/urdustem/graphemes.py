@@ -8,8 +8,8 @@ M*) and the zero-width (non-)joiners, which is sufficient for
 Perso-Arabic text.  Whether a code point extends a cluster is decided
 once, in one table that ``str.translate`` also reads to delete extenders:
 ``count`` never splits.  Text made only of letters (``str.isalpha``,
-category L*) has no extender, so ``split`` returns its code points and
-``count`` their number.
+category L*) has no extender, so its clusters are its code points and
+``count`` returns their number.
 """
 
 import unicodedata
@@ -32,9 +32,6 @@ _DROP_EXTENDERS = _ExtenderTable()
 
 def split(text: str) -> list[str]:
     """Split *text* into grapheme clusters."""
-    if text.isalpha():
-        # Every code point is L*; extenders are M*, ZWNJ and ZWJ (Cf).
-        return list(text)
     clusters: list[str] = []
     for ch in text:
         if clusters and extends_cluster(ch):

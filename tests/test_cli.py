@@ -526,9 +526,10 @@ class TestGen:
 
     def test_unsupported_entry_named(self, capsys, tmp_path):
         lex = tmp_path / "lex.tsv"
-        lex.write_text("noun\tسوال\n", encoding="utf-8")
-        code, _, err = run(capsys, "gen", "--lexicon", str(lex))
-        assert code == 2 and "سوال" in err
+        lex.write_text("adverb\tیہاں\n", encoding="utf-8")
+        code, out, err = run(capsys, "gen", "--lexicon", str(lex))
+        assert code == 2 and out == ""
+        assert err == f"urdustem: {lex}: line 1: unknown category 'adverb'\n"
 
     def test_noun_without_paradigm_names_file_and_line(self, capsys, tmp_path):
         lex = tmp_path / "lex.tsv"

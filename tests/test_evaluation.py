@@ -536,6 +536,11 @@ class TestClassifyAgainstClusters:
     # The expected ب is a code-point substring of the produced بَ, but not
     # one of its clusters: other, not under-stemming.
     @example(case=(result("بَت", "بَ"), GoldEntry("بَت", "ب")), stem_only=False)
+    # Equal stems: suffix " وں" against "وں" is correct, since stem prints
+    # both as "وں"; "وں" against no suffix is other.
+    @example(case=(result("کتابوں", "کتاب", suffix=" وں"), GoldEntry("کتابوں", "کتاب", None, "وں")),
+             stem_only=False)
+    @example(case=(result("کتابوں", "کتاب", suffix="وں"), GoldEntry("کتابوں", "کتاب")), stem_only=False)
     def test_class_equals_the_cluster_comparison(self, case, stem_only):
         res, gold = case
         assert classify_error(res, gold, stem_only) is _cluster_classify(res, gold, stem_only)

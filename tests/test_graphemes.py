@@ -24,10 +24,10 @@ def reference_count(text: str) -> int:
 
 
 def loop_split(text: str) -> list[str]:
-    """``split`` without the letters-only fast path: one test per code point."""
+    """Clusters by category: one ``reference_extends`` test per code point."""
     clusters: list[str] = []
     for ch in text:
-        if clusters and graphemes.extends_cluster(ch):
+        if clusters and reference_extends(ch):
             clusters[-1] += ch
         else:
             clusters.append(ch)
@@ -58,7 +58,8 @@ def test_join_of_split_is_identity(text):
 
 
 def test_no_letter_extends_a_cluster():
-    # The fast path in split relies on this for every code point.
+    # The letters-only paths of count, corpus.tokenize and
+    # evaluation.classify_error rely on this for every code point.
     letters = (chr(cp) for cp in range(sys.maxunicode + 1))
     assert [ch for ch in letters if ch.isalpha() and graphemes.extends_cluster(ch)] == []
 

@@ -4,7 +4,6 @@ import random
 import unicodedata
 
 import pytest
-import regex
 from hypothesis import given, settings, strategies as st
 
 from urdustem import graphemes, stemmer
@@ -417,9 +416,6 @@ class TestMarkedWordsAgainstOracle:
     )
     def test_marked_words_match_brute_force(self, case, order, suffix_passes, prefix_passes):
         rs, words = case
-        for text in words + [r.pattern for r in rs.rules]:
-            assert graphemes.split(text) == regex.findall(r"\X", text)
-
         mapped = ClusterCodes(graphemes.split)
         naive_rules = mapped.rules(rs.rules)
         cfg = StemConfig(suffix_passes, prefix_passes, order)
@@ -434,6 +430,17 @@ class TestMarkedWordsAgainstOracle:
                 mapped(got.prefix), mapped(got.stem), mapped(got.suffix),
                 got.exception_hit, applied,
             ) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_marked_cases())
+    def test_clusters_match_extended_grapheme_clusters(self, case):
+        # The oracle above maps graphemes.split's clusters, so check them
+        # against Unicode's extended grapheme clusters.  A regex built for
+        # another Python raises ImportError, not ModuleNotFoundError.
+        regex = pytest.importorskip("regex", exc_type=ImportError)
+        rs, words = case
+        for text in words + [r.pattern for r in rs.rules]:
+            assert graphemes.split(text) == regex.findall(r"\X", text)
 
 
 class TestStringScan:
