@@ -7,7 +7,6 @@ gender/case agreement.  Lemmas outside these paradigms raise
 no rules for.
 """
 
-from enum import Enum
 from typing import NamedTuple
 
 from urdustem.corpus import data_lines
@@ -32,28 +31,13 @@ class ParadigmError(ValueError):
     """Inflection requested for a paradigm the generator has no rules for."""
 
 
-class Case(Enum):
-    NOMINATIVE = "nominative"
-    OBLIQUE = "oblique"
-    VOCATIVE = "vocative"
-
-
-class Number(Enum):
-    SINGULAR = "singular"
-    PLURAL = "plural"
-
-
 class ParadigmEntry(Record):
     """A group-1 masculine noun lemma (singular nominative) ending in alif, he or ain."""
 
     __slots__ = _fields = ("lemma",)
 
     def __init__(self, lemma: str) -> None:
-        if not lemma.endswith((ALIF, CHOTI_HE, AIN)):
-            raise ParadigmError(
-                f"no paradigm specified for lemma {lemma!r} "
-                f"(must end in {ALIF}, {CHOTI_HE} or {AIN})"
-            )
+        inflect_noun(lemma)  # raises ParadigmError unless alif-, he- or ain-final
         self._set(lemma=lemma)
 
     @classmethod
@@ -76,33 +60,25 @@ class Adjective(Record):
         self._set(lemma=lemma)
 
 
-# Case ending per (number, case); None = lemma unchanged.
-_NOUN_ENDINGS = {
-    (Number.SINGULAR, Case.NOMINATIVE): None,
-    (Number.SINGULAR, Case.OBLIQUE): YE_BARI,
-    (Number.SINGULAR, Case.VOCATIVE): None,
-    (Number.PLURAL, Case.NOMINATIVE): YE_BARI,
-    (Number.PLURAL, Case.OBLIQUE): WAW_NUN_GHUNNA,
-    (Number.PLURAL, Case.VOCATIVE): WAW,
-}
-
-# Fixed feature order used by generate_gold.
-FEATURE_ORDER = tuple(_NOUN_ENDINGS)
-
-# Verb endings (infinitive, direct, indirect causative) follow the root;
-# adjective endings (masculine oblique, feminine) replace the final alif.
+# Noun endings (singular nominative, oblique and vocative, then the plural
+# three) replace a final alif or he and follow a final ain; None leaves the
+# lemma unchanged.  Verb endings (infinitive, direct, indirect causative)
+# follow the root; adjective endings (masculine oblique, feminine) replace
+# the final alif.
+_NOUN_ENDINGS = (None, YE_BARI, None, YE_BARI, WAW_NUN_GHUNNA, WAW)
 _VERB_ENDINGS = (INFINITIVE, DIRECT_CAUSATIVE, INDIRECT_CAUSATIVE)
 _ADJECTIVE_ENDINGS = (YE_BARI, FARSI_YE)
 
 
-def inflect_noun(entry: ParadigmEntry, number: Number, case: Case) -> str:
-    """Inflect a group-1 masculine noun for number and case."""
-    ending = _NOUN_ENDINGS[(number, case)]
-    if ending is None:
-        return entry.lemma
-    if entry.lemma.endswith(AIN):
-        return entry.lemma + ending
-    return entry.lemma[:-1] + ending
+def inflect_noun(lemma: str) -> tuple[str, ...]:
+    """The six case and number forms of a group-1 masculine noun, in ``_NOUN_ENDINGS`` order."""
+    if not lemma.endswith((ALIF, CHOTI_HE, AIN)):
+        raise ParadigmError(
+            f"no paradigm specified for lemma {lemma!r} "
+            f"(must end in {ALIF}, {CHOTI_HE} or {AIN})"
+        )
+    stem = lemma if lemma.endswith(AIN) else lemma[:-1]
+    return tuple(lemma if ending is None else stem + ending for ending in _NOUN_ENDINGS)
 
 
 def inflect_verb(root: str) -> tuple[str, str, str]:
@@ -122,19 +98,18 @@ def inflect_adjective(lemma: str) -> tuple[str, str]:
 def generate_gold(lexicon) -> list[GoldEntry]:
     """Expand a lexicon of nouns, verb roots and adjectives into gold entries.
 
-    Output order is lexicon order crossed with the fixed feature order;
-    the expected stem is always the citation form (lemma/root), and the
-    expected suffix the ending the inflector added (none for an unchanged
-    form).  That ending is exactly the surface past its common grapheme
-    prefix with the lemma: every ending starts with a letter, and one that
-    replaces a final alif or he starts with another letter (ain nouns and
-    verbs only append).
+    Output order is lexicon order crossed with each paradigm's form order,
+    the order its inflector returns them in; the expected stem is always
+    the citation form (lemma/root), and the expected suffix the ending the
+    inflector added (none for an unchanged form).  That ending is exactly
+    the surface past its common grapheme prefix with the lemma: every
+    ending starts with a letter, and one that replaces a final alif or he
+    starts with another letter (ain nouns and verbs only append).
     """
     entries: list[GoldEntry] = []
     for item in lexicon:
         if isinstance(item, ParadigmEntry):
-            lemma, endings = item.lemma, [_NOUN_ENDINGS[key] for key in FEATURE_ORDER]
-            surfaces = [inflect_noun(item, number, case) for number, case in FEATURE_ORDER]
+            lemma, endings, surfaces = item.lemma, _NOUN_ENDINGS, inflect_noun(item.lemma)
         elif isinstance(item, VerbRoot):
             lemma, endings, surfaces = item.root, _VERB_ENDINGS, inflect_verb(item.root)
         elif isinstance(item, Adjective):

@@ -16,6 +16,7 @@ the directives::
 
     #!exception <TAB> word        word is returned verbatim, never stemmed
     #!default-min-stem <TAB> n    min_stem used by rules that omit it
+                                  (at most once per file)
 
 Fields are not trimmed: a pattern may legitimately end in a space
 (e.g. a prefix that consumes the following separator).  Lines are framed
@@ -162,17 +163,21 @@ def parse_rule_file(text: str) -> RuleSet:
     """Parse rule-file content into a :class:`RuleSet`.
 
     Raises :class:`RuleParseError` with the offending line number; a
-    duplicate ``(kind, pattern)`` also carries the first occurrence's line.
+    duplicate ``(kind, pattern)`` or ``#!default-min-stem`` also carries
+    the first occurrence's line.
     """
     rules: list[AffixRule] = []
     first_line: dict[tuple[AffixKind, str], int] = {}
     exceptions: set[str] = set()
-    default_min_stem = DEFAULT_MIN_STEM
+    default_min_stem, default_line = DEFAULT_MIN_STEM, None
 
     for lineno, line in data_lines(text, RuleParseError):
         if line.startswith("#") and not line.startswith("#!"):
             continue
         fields = line.split("\t")
+        if fields[0] == "#!default-min-stem" and default_line:
+            message = f"duplicate #!default-min-stem (first defined on line {default_line})"
+            raise RuleParseError(message, lineno, other_line=default_line)
         try:  # each check raises ValueError, reported here with the line number
             if fields[0] == "#!exception":
                 if len(fields) != 2 or not fields[1]:
@@ -183,7 +188,7 @@ def parse_rule_file(text: str) -> RuleSet:
                 value = _ascii_int(fields[1]) if len(fields) == 2 else None
                 if not value:
                     raise ValueError("#!default-min-stem needs a positive integer")
-                default_min_stem = value
+                default_min_stem, default_line = value, lineno
                 continue
             if line.startswith("#!"):
                 raise ValueError(f"unknown directive {fields[0]!r}")

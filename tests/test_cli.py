@@ -498,6 +498,13 @@ class TestRules:
         code, _, err = run(capsys, "rules", "validate", "--rules", str(bad))
         assert code == 1 and "line 2" in err and "line 1" in err
 
+    def test_second_default_min_stem_exits_1_naming_both_lines(self, capsys, tmp_path):
+        bad = tmp_path / "twice.rules"
+        bad.write_text("#!default-min-stem\t1\nS\tوں\n#!default-min-stem\t3\n", encoding="utf-8")
+        code, out, err = run(capsys, "rules", "validate", "--rules", str(bad))
+        assert code == 1 and out == ""
+        assert err == f"urdustem: {bad}: line 3: duplicate #!default-min-stem (first defined on line 1)\n"
+
 
 class TestGen:
     def test_single_noun_grid(self, capsys, tmp_path):
@@ -536,7 +543,7 @@ class TestGen:
         lex.write_text("noun\tسوال\n", encoding="utf-8")
         code, out, err = run(capsys, "gen", "--lexicon", str(lex))
         assert code == 2 and out == ""
-        assert err.startswith(f"urdustem: {lex}: line 1: no paradigm specified for lemma 'سوال'")
+        assert err == f"urdustem: {lex}: line 1: no paradigm specified for lemma 'سوال' (must end in ا, ہ or ع)\n"
 
     def test_adjective_without_alif_names_file_and_line(self, capsys, tmp_path):
         lex = tmp_path / "lex.tsv"

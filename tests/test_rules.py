@@ -205,6 +205,20 @@ class TestParse:
         with pytest.raises(RuleParseError, match=message):
             parse_rule_file(line + "\nS\tی\n")
 
+    @pytest.mark.parametrize("text,line,other_line", [
+        ("#!default-min-stem\t3\nS\tی\n#!default-min-stem\t3\n", 3, 1),
+        ("#!default-min-stem\t1\nS\tوں\n#!default-min-stem\t3\n", 3, 1),
+        ("S\tی\n# note\n#!default-min-stem\t2\nS\tوں\n#!default-min-stem\t2\n", 5, 3),
+    ], ids=["same-value", "different-value", "after-rules"])
+    def test_second_default_min_stem_names_both_lines(self, text, line, other_line):
+        # A second directive would set min_stem for rules above it too.
+        with pytest.raises(RuleParseError) as exc_info:
+            parse_rule_file(text)
+        assert str(exc_info.value) == (
+            f"line {line}: duplicate #!default-min-stem (first defined on line {other_line})"
+        )
+        assert (exc_info.value.line, exc_info.value.other_line) == (line, other_line)
+
     def test_comments_and_blank_lines_ignored(self):
         rs = parse_rule_file("# header\n\n   \nS\tی\n")
         assert len(rs.rules) == 1
