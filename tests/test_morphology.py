@@ -17,10 +17,28 @@ from urdustem.morphology import (
 
 HAMMER = ParadigmEntry("ہتھوڑا")
 
+# Forms in gold order: singular nominative, oblique and vocative, then
+# plural nominative, oblique and vocative.
+FORM_CELLS = [
+    (case, number)
+    for number in ("singular", "plural")
+    for case in ("Case.NOMINATIVE", "Case.OBLIQUE", "Case.VOCATIVE")
+]
+
+TABLE1_GRID = [
+    ("Case.NOMINATIVE", "singular", "ہتھوڑا"),
+    ("Case.OBLIQUE", "singular", "ہتھوڑے"),
+    ("Case.NOMINATIVE", "plural", "ہتھوڑے"),
+    ("Case.OBLIQUE", "plural", "ہتھوڑوں"),
+    ("Case.VOCATIVE", "plural", "ہتھوڑو"),
+]
+
 
 class TestInflectNoun:
-    # Forms in gold order: singular nominative, oblique and vocative, then
-    # plural nominative, oblique and vocative.
+    @pytest.mark.parametrize("case,number,expected", TABLE1_GRID)
+    def test_alif_final_grid(self, case, number, expected):
+        # Table 1's cells, each at its place in the six-form tuple.
+        assert inflect_noun(HAMMER.lemma)[FORM_CELLS.index((case, number))] == expected
 
     def test_alif_final_replaces_the_alif(self):
         assert inflect_noun("ہتھوڑا") == ("ہتھوڑا", "ہتھوڑے", "ہتھوڑا", "ہتھوڑے", "ہتھوڑوں", "ہتھوڑو")
