@@ -8,7 +8,8 @@ Subcommands::
     urdustem gen   --lexicon FILE            synthesize a gold corpus
 
 Exit codes: 0 success, 1 validation failure (bad rule file), 2
-input/alignment error, 141 (128 + SIGPIPE, with nothing on stderr) when
+input/alignment error or a malformed flag value (argparse's usage line,
+before any file is read), 141 (128 + SIGPIPE, with nothing on stderr) when
 the reader of stdout closes it early, whatever the size of the write it
 cuts short.  Every error is raised before the first byte of output, so
 stdout stays empty unless the exit code is 0 or 141.  Output (all of it
@@ -42,9 +43,11 @@ import os
 import re
 import sys
 
+import urdustem
 from urdustem import corpus
 from urdustem.rules import RuleParseError, RuleSet, _rule_fields, parse_rule_file
 from urdustem.stemmer import (
+    MAX_PASSES,
     PREFIX_FIRST,
     SUFFIX_FIRST,
     StemConfig,
@@ -162,17 +165,6 @@ def _load_rules(path: str) -> RuleSet:
     return _read_data(path, parse_rule_file, RuleParseError, EXIT_VALIDATION)
 
 
-def _stem_config(args) -> StemConfig:
-    try:
-        return StemConfig(
-            max_suffix_passes=args.suffix_passes,
-            max_prefix_passes=args.prefix_passes,
-            order=args.order,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_INPUT) from exc
-
-
 def _input_blocks(path: str, data: bytes, pretokenized: bool):
     """The text of each block of *data*, the bytes of the file at *path*.
 
@@ -198,7 +190,7 @@ def _input_blocks(path: str, data: bytes, pretokenized: bool):
 
 def cmd_stem(args) -> int:
     rs = _load_rules(args.rules)
-    cfg = _stem_config(args)
+    cfg = StemConfig(args.suffix_passes, args.prefix_passes, args.order)
     data = _read_bytes(args.input)
     # Pass 1 keeps nothing: it raises every input error before the first write.
     lineno = 1  # of the block's first line
@@ -235,7 +227,7 @@ def cmd_eval(args) -> int:
     from urdustem import evaluation
 
     rs = _load_rules(args.rules)
-    cfg = _stem_config(args)
+    cfg = StemConfig(args.suffix_passes, args.prefix_passes, args.order)
     gold = _read_data(args.gold, lambda t: evaluation.parse_gold_file(t, args.strip_diacritics),
                       evaluation.GoldFileError)
     try:
@@ -274,16 +266,27 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    # Python 3.11's argparse drops the value of --flag=-- unchecked, leaving []
+    # (or --strip-diacritics's const, true), so check that value as any other.
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
 def _add_stem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strip-diacritics", type=_parse_bool, nargs="?", const=True, default=True,
                    metavar="BOOL")
-    p.add_argument("--suffix-passes", type=int, default=1, metavar="N")
-    p.add_argument("--prefix-passes", type=int, default=1, metavar="N")
+    p.add_argument("--suffix-passes", type=int, choices=range(MAX_PASSES + 1), default=1, metavar="N")
+    p.add_argument("--prefix-passes", type=int, choices=range(MAX_PASSES + 1), default=1, metavar="N")
     p.add_argument("--order", choices=(SUFFIX_FIRST, PREFIX_FIRST), default=SUFFIX_FIRST)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="urdustem", description=__doc__.split("\n")[0])
+    parser = _Parser(prog="urdustem", description=urdustem.__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stem", help="stem text and print word/prefix/stem/suffix TSV")

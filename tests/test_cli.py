@@ -11,6 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from itertools import islice, product
 from json.encoder import encode_basestring
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -1051,9 +1052,11 @@ class TestPassBound:
     @pytest.mark.parametrize("flag", ["--suffix-passes", "--prefix-passes"])
     @pytest.mark.parametrize("command", ["stem", "eval"])
     def test_pass_count_outside_0_to_4_exits_2(self, capsys, tmp_path, command, flag, value):
-        code, out, err = run(capsys, *_stem_or_eval_argv(command, tmp_path), flag, value)
-        assert code == 2 and out == ""
-        assert "0..4" in err
+        with pytest.raises(SystemExit) as exc:
+            main([*_stem_or_eval_argv(command, tmp_path), flag, value])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.endswith(f"error: argument {flag}: invalid choice: {value} (choose from 0, 1, 2, 3, 4)\n")
 
 
 class TestBooleanFlag:
@@ -1064,6 +1067,86 @@ class TestBooleanFlag:
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == ""
         assert "expected a boolean, got 'maybe'" in err
+
+
+# Pieces of a flag value: ASCII, Urdu and Arabic-Indic digits, a minus
+# sign, letters, and words that some of the four flags take.
+_FLAG_VALUE = st.lists(st.sampled_from([
+    *"0123456789", "۰", "۴", "۵", "٠", "٤", "٥", "-", "x", "E", "ا",
+    "true", "TRUE", "off", "On", "yes", "both", "suffix-first", "prefix-first",
+]), min_size=1, max_size=3).map("".join)
+
+
+def _int_in_0_to_4(value):
+    try:
+        return 0 <= int(value) <= 4
+    except ValueError:
+        return False
+
+
+# Each flag's valid values, as README documents them.
+_VALID_FLAG_VALUE = {
+    "--suffix-passes": _int_in_0_to_4,
+    "--prefix-passes": _int_in_0_to_4,
+    "--order": lambda v: v in ("suffix-first", "prefix-first"),
+    "--strip-diacritics": lambda v: v.lower() in ("true", "1", "yes", "on", "false", "0", "no", "off"),
+}
+
+
+@pytest.fixture(scope="module")
+def flag_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("flags")
+    (d / "words.txt").write_text("لڑکوں کتابیں\n", encoding="utf-8")
+    (d / "gold.tsv").write_text("لڑکوں\tلڑک\t\tوں\n", encoding="utf-8")
+    return d
+
+
+class TestFlagValues:
+    """argparse checks each flag value, so a bad one exits 2 with the usage
+    line before any file is read, here the rule file on stdin."""
+
+    @pytest.mark.parametrize("command", ["stem", "eval"])
+    @settings(max_examples=150, deadline=None)
+    @given(flag=st.sampled_from(sorted(_VALID_FLAG_VALUE)), value=_FLAG_VALUE)
+    @example(flag="--suffix-passes", value="۴")
+    @example(flag="--prefix-passes", value="٥")
+    @example(flag="--strip-diacritics", value="TRUE")
+    @example(flag="--order", value="both")
+    @example(flag="--order", value="--")
+    @example(flag="--strip-diacritics", value="--")
+    def test_a_bad_value_fails_before_any_input_is_read(self, flag_files, command, flag, value):
+        argv = (["stem", str(flag_files / "words.txt"), "--rules", "-"] if command == "stem"
+                else ["eval", "--rules", "-", "--gold", str(flag_files / "gold.tsv")])
+        stdin = io.BytesIO("S\tوں\n".encode("utf-8"))
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", type("S", (), {"buffer": stdin})()), \
+                redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main([*argv, f"{flag}={value}"])
+            except SystemExit as exc:
+                code = exc.code
+        if _VALID_FLAG_VALUE[flag](value):
+            assert code == 0, err.getvalue()
+        else:
+            assert code == 2 and out.getvalue() == ""
+            assert f"error: argument {flag}" in err.getvalue() and stdin.tell() == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["stem", "--rules=--"], ["eval", "--rules=--", "--gold", "-"], ["gen", "--lexicon=--"],
+    ], ids=["stem-rules", "eval-rules", "gen-lexicon"])
+    def test_a_file_flag_given_dashes_names_the_file_dashes(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "urdustem: --: No such file or directory\n"
+
+
+def test_help_describes_the_package(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out, _ = capsys.readouterr()
+    assert exc.value.code == 0
+    assert "\nRule-driven affix-stripping stemmer for Urdu (Perso-Arabic script).\n" in out
 
 
 # One data file per command that reads it.
