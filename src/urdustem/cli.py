@@ -208,7 +208,7 @@ def cmd_stem(args) -> int:
     else:
         render = _tsv_line
     lines: dict[str, str] = {}  # each distinct word's output line, kept across blocks
-    chunk_words = corpus._ChunkWords()
+    chunk_words: dict[str, list[str]] = {}
     for text in _input_blocks(args.input, data, args.pretokenized):
         text = corpus.normalize(text, args.strip_diacritics)
         words = ([w for w in map(str.strip, text.split("\n")) if w] if args.pretokenized

@@ -88,23 +88,21 @@ class _WordChars(dict):
 _WORD_CHARS = _WordChars()
 
 
-class _ChunkWords(dict):
-    """``tokenize``'s memo: the words of a chunk that is not letters-only."""
-
-    def __missing__(self, chunk: str) -> list[str]:
-        # No word character is whitespace, so split() cuts exactly at the
-        # characters that the table made spaces.
-        words = self[chunk] = []
-        for run in chunk.translate(_WORD_CHARS).split():
-            if not run[0].isalpha():
-                # Marks and joiners that no letter precedes are dropped.
-                run = "".join(dropwhile(extends_cluster, run))
-            if run:
-                words.append(run)
-        return words
+def _chunk_words(chunk: str) -> list[str]:
+    """The words of a chunk that is not letters-only."""
+    # No word character is whitespace, so split() cuts exactly at the
+    # characters that the table made spaces.
+    words = []
+    for run in chunk.translate(_WORD_CHARS).split():
+        if not run[0].isalpha():
+            # Marks and joiners that no letter precedes are dropped.
+            run = "".join(dropwhile(extends_cluster, run))
+        if run:
+            words.append(run)
+    return words
 
 
-def tokenize(text: str, chunk_words: _ChunkWords | None = None) -> list[str]:
+def tokenize(text: str, chunk_words: dict[str, list[str]] | None = None) -> list[str]:
     """Return the words of normalized text, in order.
 
     A word starts with a letter (``str.isalpha``, category L*) and runs on
@@ -114,17 +112,19 @@ def tokenize(text: str, chunk_words: _ChunkWords | None = None) -> list[str]:
     joiners that no letter precedes within the run.  The text is cut into
     whitespace-free chunks by ``str.split``.  A chunk of letters only is one
     word as it stands; any other chunk, each distinct one once per call, or
-    once per *chunk_words* memo that the caller keeps across calls, is split
-    into its runs of word characters by one ``str.translate`` through
+    once per *chunk_words*, any dict that the caller keeps across calls, is
+    split into its runs of word characters by one ``str.translate`` through
     ``_WORD_CHARS`` and a second ``str.split``, and each run loses its
     leading marks and joiners.
     """
     words: list[str] = []
     if chunk_words is None:
-        chunk_words = _ChunkWords()
+        chunk_words = {}
     for chunk in text.split():
         if chunk.isalpha():
             words.append(chunk)
-        else:
+        elif chunk in chunk_words:
             words += chunk_words[chunk]
+        else:
+            words += chunk_words.setdefault(chunk, _chunk_words(chunk))
     return words

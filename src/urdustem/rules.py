@@ -175,16 +175,16 @@ def parse_rule_file(text: str) -> RuleSet:
         if line.startswith("#") and not line.startswith("#!"):
             continue
         fields = line.split("\t")
-        if fields[0] == "#!default-min-stem" and default_line:
-            message = f"duplicate #!default-min-stem (first defined on line {default_line})"
-            raise RuleParseError(message, lineno, other_line=default_line)
-        try:  # each check raises ValueError, reported here with the line number
+        try:  # a check's ValueError gains the line number; a RuleParseError has it
             if fields[0] == "#!exception":
                 if len(fields) != 2 or not fields[1]:
                     raise ValueError("#!exception needs one non-empty word")
                 exceptions |= RuleSet((), {fields[1]}).exceptions  # RuleSet's checks on the word
                 continue
             if fields[0] == "#!default-min-stem":
+                if default_line:
+                    message = f"duplicate #!default-min-stem (first defined on line {default_line})"
+                    raise RuleParseError(message, lineno, other_line=default_line)
                 value = _ascii_int(fields[1]) if len(fields) == 2 else None
                 if not value:
                     raise ValueError("#!default-min-stem needs a positive integer")
@@ -205,15 +205,15 @@ def parse_rule_file(text: str) -> RuleSet:
             if min_field is not None and not min_stem:
                 raise ValueError(f"min_stem must be a positive integer, got {min_field!r}")
             rule = AffixRule(AffixKind(kind), pattern, replacement or "", min_stem)
+            first = first_line.setdefault((rule.kind, pattern), lineno)
+            if first != lineno:
+                raise RuleParseError(f"duplicate rule {rule.rule_id} (first defined on line {first})",
+                                     lineno, other_line=first)
+            rules.append(rule)
+        except RuleParseError:
+            raise
         except ValueError as exc:
             raise RuleParseError(str(exc), lineno) from None
-
-        # Raised outside the try, since RuleParseError is itself a ValueError.
-        first = first_line.setdefault((rule.kind, pattern), lineno)
-        if first != lineno:
-            raise RuleParseError(f"duplicate rule {rule.rule_id} (first defined on line {first})",
-                                 lineno, other_line=first)
-        rules.append(rule)
 
     return RuleSet(tuple(rules), frozenset(exceptions), default_min_stem)
 

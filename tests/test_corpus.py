@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from urdustem import data
-from urdustem.corpus import _ChunkWords, _WordChars, data_lines, normalize, tokenize
+from urdustem.corpus import _WordChars, data_lines, normalize, tokenize
 from urdustem.graphemes import ZWJ, ZWNJ, extends_cluster
 from urdustem.stemmer import stem_batch
 
@@ -244,10 +244,11 @@ class TestTokenize:
         + "\ud800\udfff"
     ))))
     def test_a_memo_kept_across_texts_gives_each_text_its_own_words(self, texts):
-        # As cmd_stem keeps one memo across its input blocks.
-        shared = _ChunkWords()
+        # As cmd_stem keeps one memo, a plain dict, across its input blocks.
+        shared = {}
         for text in texts:
-            assert tokenize(text, shared) == tokenize(text, _ChunkWords()) == reference_tokenize(text)
+            assert (tokenize(text, shared) == tokenize(text, {}) == tokenize(text)
+                    == reference_tokenize(text))
 
     def test_matches_reference_on_every_code_point(self):
         every = "".join(map(chr, range(sys.maxunicode + 1)))

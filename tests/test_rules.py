@@ -209,7 +209,10 @@ class TestParse:
         ("#!default-min-stem\t3\nS\tی\n#!default-min-stem\t3\n", 3, 1),
         ("#!default-min-stem\t1\nS\tوں\n#!default-min-stem\t3\n", 3, 1),
         ("S\tی\n# note\n#!default-min-stem\t2\nS\tوں\n#!default-min-stem\t2\n", 5, 3),
-    ], ids=["same-value", "different-value", "after-rules"])
+        # The duplicate is reported before the second directive's own value is checked.
+        ("#!default-min-stem\t2\n#!default-min-stem\t0\n", 2, 1),
+        ("#!default-min-stem\t2\nS\tوں\n#!default-min-stem\n", 3, 1),
+    ], ids=["same-value", "different-value", "after-rules", "invalid-value", "no-value"])
     def test_second_default_min_stem_names_both_lines(self, text, line, other_line):
         # A second directive would set min_stem for rules above it too.
         with pytest.raises(RuleParseError) as exc_info:
@@ -218,6 +221,12 @@ class TestParse:
             f"line {line}: duplicate #!default-min-stem (first defined on line {other_line})"
         )
         assert (exc_info.value.line, exc_info.value.other_line) == (line, other_line)
+
+    def test_a_repeated_rule_with_a_bad_field_reports_the_field_not_the_duplicate(self):
+        with pytest.raises(RuleParseError) as exc_info:
+            parse_rule_file("S\tوں\nS\tوں\t0\n")
+        assert str(exc_info.value) == "line 2: min_stem must be a positive integer, got '0'"
+        assert (exc_info.value.line, exc_info.value.other_line) == (2, None)
 
     def test_comments_and_blank_lines_ignored(self):
         rs = parse_rule_file("# header\n\n   \nS\tی\n")
