@@ -45,7 +45,7 @@ import sys
 
 import urdustem
 from urdustem import corpus
-from urdustem.rules import RuleParseError, RuleSet, _rule_fields, parse_rule_file
+from urdustem.rules import RuleParseError, RuleSet, parse_rule_file, serialize_rule_set
 from urdustem.stemmer import (
     MAX_PASSES,
     PREFIX_FIRST,
@@ -249,9 +249,7 @@ def cmd_rules(args) -> int:
         _write(f"ok: {rs.suffix_count} suffixes, {rs.prefix_count} prefixes, "
                f"{len(rs.exceptions)} exceptions\n")
         return EXIT_OK
-    out = [f"suffixes: {rs.suffix_count}", f"prefixes: {rs.prefix_count}"]
-    out += ["\t".join(_rule_fields(rule)) for rule in rs.rules]
-    _write("".join(line + "\n" for line in out))
+    _write(serialize_rule_set(rs))
     return EXIT_OK
 
 

@@ -223,13 +223,8 @@ def _ascii_int(text: str) -> int | None:
     return int(text) if text.isascii() and text.isdigit() else None
 
 
-def _rule_fields(rule: AffixRule) -> list[str]:
-    """The four rule-file fields of *rule*; an absent ``min_stem`` is ``""``."""
-    return [rule.kind.value, rule.pattern, rule.replacement, str(rule.min_stem or "")]
-
-
 def serialize_rule_set(rs: RuleSet) -> str:
-    """Render a rule set in canonical form.
+    """Render a rule set in canonical form, the rule file that ``urdustem rules list`` prints.
 
     ``parse_rule_file(serialize_rule_set(rs))`` equals ``rs``, and the
     output is a fixpoint of serialize-after-parse: each exception and
@@ -247,7 +242,8 @@ def serialize_rule_set(rs: RuleSet) -> str:
     ]
     entries = [(f"#!exception\t{w}", RuleSet((), {w}), f"exception {w!r}")
                for w in sorted(rs.exceptions)]
-    entries += [("\t".join(_rule_fields(r)).rstrip("\t"), RuleSet((r,)), f"rule {r.rule_id!r}")
+    entries += [(f"{r.kind.value}\t{r.pattern}\t{r.replacement}\t{r.min_stem or ''}".rstrip("\t"),
+                 RuleSet((r,)), f"rule {r.rule_id!r}")
                 for r in rs.rules]  # a rule line drops its trailing empty fields
     for line, alone, name in entries:
         try:

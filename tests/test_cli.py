@@ -19,10 +19,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from urdustem import cli, corpus, data, evaluation, morphology, stemmer
 from urdustem.cli import EXIT_PIPE, _json_line, _tsv_line, main
 from urdustem.graphemes import ZWJ, ZWNJ
-from urdustem.rules import RuleParseError, parse_rule_file
+from urdustem.rules import RuleParseError, parse_rule_file, serialize_rule_set
 from urdustem.stemmer import StemConfig, StemResult, shown_affix, stem_batch, stem_word
 
 from conftest import DIACRITICS, URDU_LETTERS, random_word
+from test_rules import _RULE_LINES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -479,13 +480,29 @@ class TestRules:
         assert code == 0 and out.startswith("ok:")
 
     def test_list_matches_header_counts(self, capsys, default_rules):
-        code, out, _ = run(capsys, "rules", "list", "--rules", data.path(data.DEFAULT_RULES))
-        lines = out.splitlines()
-        assert lines[0] == f"suffixes: {default_rules.suffix_count}"
-        assert lines[1] == f"prefixes: {default_rules.prefix_count}"
-        rule_lines = lines[2:]
-        lengths = [len(line.split("\t")[1]) for line in rule_lines]
-        assert lengths == sorted(lengths, reverse=True)
+        code, out, err = run(capsys, "rules", "list", "--rules", data.path(data.DEFAULT_RULES))
+        assert (code, err) == (0, "")
+        assert out == serialize_rule_set(default_rules)
+        assert parse_rule_file(out) == default_rules
+        assert out.splitlines()[1:3] == ["# suffixes: 17", "# prefixes: 4"]
+
+    def test_list_shows_the_exception_words(self, capsys):
+        code, out, _ = run(capsys, "rules", "list", "--rules", data.path(data.TABLE2_RULES))
+        assert code == 0 and out == serialize_rule_set(data.load_rules(data.TABLE2_RULES))
+        assert "#!exception\tبدمعاش" in out.splitlines()
+
+    @settings(deadline=None)
+    @given(st.lists(_RULE_LINES, max_size=4).map("\n".join))
+    def test_a_listed_rule_file_reads_back_and_lists_to_itself(self, blocks_dir, text):
+        p = blocks_dir / "in.rules"
+        p.write_bytes(text.encode("utf-8"))
+        if _stdout_of(["rules", "validate", "--rules", str(p)])[0] != 0:
+            return
+        code, out, err = _stdout_of(["rules", "list", "--rules", str(p)])
+        assert (code, err) == (0, "")
+        assert parse_rule_file(out) == parse_rule_file(text)
+        p.write_bytes(out.encode("utf-8"))
+        assert _stdout_of(["rules", "list", "--rules", str(p)]) == (0, out, "")
 
     def test_replacement_longer_than_pattern_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.rules"
@@ -612,6 +629,13 @@ _PRETOKENIZED_WORD = st.lists(st.sampled_from(
     ["بد ", "نو", "لا", "راج", "کتاب", "علاق", "فاصل", "وں", "ات", "یاں", "یں", "ے", "ی",
      "\u064e", ZWNJ, " "]), max_size=5).map("".join)
 
+# Pieces of a --pretokenized word list: the tab, lone CR, CRLF and LF that
+# end or fail a line, the spaces that trimming drops, a fatha and a tatweel
+# that stripping drops, ZWNJ and letters.
+_CR_WORD_LIST = st.lists(st.sampled_from(
+    ["\t", "\r", "\r\n", "\n", " ", "\xa0", "\u064e", "\u0640", ZWNJ, "کتاب", "وں", "ا"]),
+    max_size=40).map("".join)
+
 
 @pytest.fixture(scope="module")
 def blocks_dir(tmp_path_factory):
@@ -676,6 +700,25 @@ class TestInputBlocks:
         for line, record in zip(tsv_lines[:-1], map(json.loads, json_lines[:-1])):
             assert line.split("\t") == [record["word"], (record["prefix"] or "").strip(),
                                         record["stem"], (record["suffix"] or "").strip()]
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_CR_WORD_LIST, block=st.integers(1, 200), strip=st.booleans())
+    def test_a_tab_or_cr_inside_a_word_fails_whatever_the_blocks(self, blocks_dir, default_rules,
+                                                                   text, block, strip):
+        """The exit code, stdout and stderr of the whole text normalized at
+        once: the first line whose trimmed text holds a tab or CR fails."""
+        words = [w.strip() for w in corpus.normalize(text, strip).split("\n")]
+        bad = next((i for i, w in enumerate(words, start=1) if "\t" in w or "\r" in w), None)
+        p = blocks_dir / "in.txt"
+        p.write_bytes(text.encode("utf-8"))
+        if bad:
+            expected = (2, "", f"urdustem: {p}: line {bad}: tab or CR inside a word\n")
+        else:
+            expected = (0, reference_output([w for w in words if w], default_rules, False), "")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_INPUT_BLOCK", block)
+            assert _stdout_of(["stem", str(p), "--pretokenized", "--rules", data.path(data.DEFAULT_RULES),
+                               f"--strip-diacritics={strip}"]) == expected
 
     @pytest.mark.parametrize("block", [1, 100, None], ids=["line", "100-bytes", "16KiB"])
     @pytest.mark.parametrize("error", ["byte", "tab"])

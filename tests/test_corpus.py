@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from urdustem import data
 from urdustem.corpus import _WordChars, data_lines, normalize, tokenize
-from urdustem.graphemes import ZWJ, ZWNJ, extends_cluster
+from urdustem.graphemes import ZWJ, ZWNJ
 from urdustem.stemmer import stem_batch
 
 from conftest import DIACRITICS, URDU_LETTERS
@@ -266,19 +266,15 @@ class TestTokenizeChunkFacts:
 
     ALL = "".join(map(chr, range(sys.maxunicode + 1)))
 
-    @staticmethod
-    def _is_word_char(ch: str) -> bool:
-        return ch.isalpha() or extends_cluster(ch)
-
     def test_no_word_character_is_whitespace(self):
         # So a chunk translated through _WORD_CHARS splits only at the
         # spaces the table wrote.
-        assert [ch for ch in self.ALL if self._is_word_char(ch) and ch.isspace()] == []
+        assert [ch for ch in self.ALL if _in_word(ch) and ch.isspace()] == []
 
     def test_word_chars_keeps_exactly_the_word_characters(self):
         table = _WordChars()
         assert [ch for ch in self.ALL
-                if table[ord(ch)] != (ord(ch) if self._is_word_char(ch) else 0x20)] == []
+                if table[ord(ch)] != (ord(ch) if _in_word(ch) else 0x20)] == []
 
     def test_str_split_drops_exactly_the_isspace_characters(self):
         assert "".join(self.ALL.split()) == "".join(ch for ch in self.ALL if not ch.isspace())

@@ -21,7 +21,7 @@ CONSOLE_STEPS = [
 
 
 def test_console_script_steps_found():
-    assert len(CONSOLE_STEPS) >= 29
+    assert len(CONSOLE_STEPS) >= 30
 
 
 @pytest.mark.parametrize("step", CONSOLE_STEPS, ids=[step["name"] for step in CONSOLE_STEPS])
@@ -57,6 +57,29 @@ def test_source_parses_as_python_3_10(path):
     interpreter, but not calls to library functions newer than 3.10.
     """
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_no_module_reads_a_private_name_of_another():
+    """No module of ``urdustem`` imports a ``_``-prefixed name from another
+    ``urdustem`` module, or reads one as ``module._name``."""
+    found = []
+    for path in sorted((ROOT / "src" / "urdustem").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        modules = set()  # the names this file binds to urdustem modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("urdustem"):
+                found += [f"{path.name}: from {node.module} import {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+                if node.module == "urdustem":
+                    modules |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                modules |= {alias.asname or alias.name.split(".")[0] for alias in node.names
+                            if alias.name.startswith("urdustem")}
+        found += [f"{path.name}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr.startswith("_")
+                  and not node.attr.startswith("__")]
+    assert found == []
 
 
 def test_cli_start_up_skips_importlib_resources():
