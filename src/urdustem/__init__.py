@@ -13,7 +13,7 @@ Modules:
 * ``cli``        -- command-line front end
 """
 
-from urdustem.rules import AffixKind, AffixRule, RuleSet, order_rules, parse_rule_file, serialize_rule_set
+from urdustem.rules import AffixKind, AffixRule, RuleSet, parse_rule_file, serialize_rule_set
 from urdustem.stemmer import StemConfig, StemResult, stem_batch, stem_word
 
 __version__ = "0.1.0"
@@ -24,7 +24,6 @@ __all__ = [
     "RuleSet",
     "StemConfig",
     "StemResult",
-    "order_rules",
     "parse_rule_file",
     "serialize_rule_set",
     "stem_batch",

@@ -105,9 +105,9 @@ class RuleSet(Record):
     keyed by ``kind is AffixKind.SUFFIX``, then by edge letter (a suffix's
     last code point, a prefix's first), a tuple of ``(k, {pattern: (rule,
     min_clusters)})`` pairs, where *k* is the pattern length in code points,
-    longest first; ``min_clusters``, the pattern's grapheme count plus the
-    effective ``min_stem``, is the fewest grapheme clusters a word needs for
-    the rule to fire.  Building it rejects a duplicate ``(kind, pattern)``.
+    longest first; ``min_clusters``, the pattern's grapheme count plus its
+    ``min_stem`` (else ``default_min_stem``), is the fewest clusters a word
+    needs for the rule to fire.  Building it rejects a duplicate ``(kind, pattern)``.
     """
 
     __slots__ = ("rules", "exceptions", "default_min_stem", "buckets")
@@ -116,7 +116,13 @@ class RuleSet(Record):
     def __init__(
         self, rules, exceptions=frozenset(), default_min_stem: int = DEFAULT_MIN_STEM
     ) -> None:
-        rules = tuple(order_rules(rules))
+        rules = tuple(rules)
+        for rule in rules:
+            if not isinstance(rule, AffixRule):
+                raise ValueError(f"each rule must be an AffixRule, got {rule!r}")
+        rules = tuple(sorted(rules, key=lambda r: -r.pattern_length))
+        if isinstance(exceptions, str):
+            raise ValueError(f"exceptions must be a collection of words, got {exceptions!r}")
         exceptions = frozenset(exceptions)
         if type(default_min_stem) is not int or default_min_stem < 1:
             raise ValueError(f"default_min_stem must be a positive int, got {default_min_stem!r}")
@@ -136,14 +142,11 @@ class RuleSet(Record):
             bucket = by_length.setdefault(len(rule.pattern), {})
             if rule.pattern in bucket:
                 raise ValueError(f"duplicate rule {rule.rule_id}")
-            bucket[rule.pattern] = (rule, rule.pattern_length + self.effective_min_stem(rule))
+            bucket[rule.pattern] = (rule, rule.pattern_length + (rule.min_stem or default_min_stem))
         self._set(buckets={
             suffix: {edge: tuple(b.items()) for edge, b in by_edge.items()}
             for suffix, by_edge in buckets.items()
         })
-
-    def effective_min_stem(self, rule: AffixRule) -> int:
-        return rule.min_stem if rule.min_stem is not None else self.default_min_stem
 
     @property
     def suffix_count(self) -> int:
@@ -152,11 +155,6 @@ class RuleSet(Record):
     @property
     def prefix_count(self) -> int:
         return sum(1 for r in self.rules if r.kind is AffixKind.PREFIX)
-
-
-def order_rules(rules) -> list[AffixRule]:
-    """Sort rules by pattern grapheme length, longest first, stable on ties."""
-    return sorted(rules, key=lambda r: -r.pattern_length)
 
 
 def parse_rule_file(text: str) -> RuleSet:

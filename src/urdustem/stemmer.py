@@ -148,12 +148,14 @@ def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemR
 
 
 def stem_batch(words, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> list[StemResult]:
-    """Stem an iterable of words, order-preserving.
+    """Stem an iterable of words (not a ``str``), order-preserving.
 
     Each distinct word is stemmed once, in order of first occurrence, and
     its repeats share that one (immutable) result.  A per-word error is
     re-raised with the index of the word's first occurrence.
     """
+    if isinstance(words, str):
+        raise StemError("a str is not a list of words; split it with urdustem.corpus.tokenize")
     words = list(words)
     results: dict[str, StemResult] = {}
     for word in dict.fromkeys(words):

@@ -35,7 +35,7 @@ CASES = {
         ((AffixRule(S, "وں"), AffixRule(P, "بد")), frozenset({"کتاب"}), 3),
         ((AffixRule(S, "وں"),),),
         [((), frozenset(), 0), ((), frozenset({""})), ((AffixRule(S, "ی"),) * 2,),
-         ((), frozenset({"کتا\u0627\u0653"}))],
+         ((), frozenset({"کتا\u0627\u0653"})), ((), "کتاب"), (["S\tوں"],)],
     ),
     ParadigmEntry: (("لڑکا",), ("علاقہ",), [("سوال",), ("",)]),
     Adjective: (("لمبا",), ("اچھا",), [("سرخ",), ("",)]),
@@ -130,7 +130,8 @@ def _indexed(rs: RuleSet) -> list:
                     assert rule.pattern == pattern and len(pattern) == k
                     assert (rule.kind is S) == suffix
                     assert pattern[-1 if suffix else 0] == edge
-                    assert min_clusters == rule.pattern_length + rs.effective_min_stem(rule)
+                    min_stem = rule.min_stem or rs.default_min_stem
+                    assert min_clusters == rule.pattern_length + min_stem
                     entries.append(rule)
     return entries
 

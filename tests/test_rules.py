@@ -16,7 +16,6 @@ from urdustem.rules import (
     AffixRule,
     RuleParseError,
     RuleSet,
-    order_rules,
     parse_rule_file,
     serialize_rule_set,
 )
@@ -115,14 +114,15 @@ class TestEveryAcceptedRuleFires:
     def test_accepted_rule_fires_next_to_a_plain_stem(
         self, kind, pattern, min_stem, default_min_stem, cluster, short
     ):
-        # The rule fires on a stem of exactly effective_min_stem clusters,
-        # and not on one cluster fewer; a marked cluster is two code points.
+        # The rule fires on a stem of exactly its min_stem clusters (else the
+        # default's), and not on one cluster fewer; a marked cluster is two
+        # code points.
         try:
             rule = AffixRule(kind, pattern, min_stem=min_stem)
         except ValueError:
             return
         rs = RuleSet((rule,), default_min_stem=default_min_stem)
-        stem = cluster * (rs.effective_min_stem(rule) - short)
+        stem = cluster * ((min_stem or default_min_stem) - short)
         word = unicodedata.normalize("NFC", stem + pattern if kind is S else pattern + stem)
         assert stem_word(word, rs).applied == (() if short else (rule.rule_id,))
 
@@ -130,14 +130,14 @@ class TestEveryAcceptedRuleFires:
 class TestOrderRules:
     def test_descending_length(self):
         rules = [AffixRule(S, "ے"), AffixRule(S, "یاں"), AffixRule(S, "وں")]
-        assert [r.pattern for r in order_rules(rules)] == ["یاں", "وں", "ے"]
+        assert [r.pattern for r in RuleSet(rules).rules] == ["یاں", "وں", "ے"]
 
     def test_empty(self):
-        assert order_rules([]) == []
+        assert RuleSet(()).rules == ()
 
     def test_ties_keep_source_order(self):
         rules = [AffixRule(S, "ات"), AffixRule(S, "وں", "ہ")]
-        assert [r.pattern for r in order_rules(rules)] == ["ات", "وں"]
+        assert [r.pattern for r in RuleSet(rules).rules] == ["ات", "وں"]
 
     @given(st.lists(st.sampled_from("ابجدیوےں"), min_size=1, max_size=30))
     def test_sorted_invariant(self, letters):
@@ -148,7 +148,7 @@ class TestOrderRules:
             if pattern not in seen:
                 seen.add(pattern)
                 rules.append(AffixRule(S, pattern))
-        ordered = order_rules(rules)
+        ordered = RuleSet(rules).rules
         lengths = [r.pattern_length for r in ordered]
         assert lengths == sorted(lengths, reverse=True)
         assert sorted(r.pattern for r in ordered) == sorted(r.pattern for r in rules)

@@ -213,6 +213,10 @@ class TestBatch:
         with pytest.raises(StemError, match="^word 1: "):
             stem_batch(["قلم", "", "قلم", ""], default_rules)
 
+    def test_a_str_is_rejected_not_stemmed_letter_by_letter(self, default_rules):
+        with pytest.raises(StemError, match="urdustem.corpus.tokenize"):
+            stem_batch("کتابیں", default_rules)
+
     def test_one_shot_iterator_equals_list(self, default_rules):
         words = ["علاقوں", "قلم", "علاقوں", "نوجوان", "قلم"]
         batch = stem_batch(iter(words), default_rules)

@@ -1,14 +1,19 @@
 """What CI checks, run offline: the workflow's console-script steps, the
-oldest Python that ``requires-python`` admits, and what start-up imports."""
+oldest Python that ``requires-python`` admits, what start-up imports, and
+that README's examples and public names match the package."""
 
 import ast
+import doctest
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 import yaml
+
+import urdustem
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
@@ -104,3 +109,16 @@ def test_cli_start_up_imports_only_what_stem_needs():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_every_public_name_exists_and_readme_names_it():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for name in urdustem.__all__:
+        assert hasattr(urdustem, name), name
+        assert re.search(rf"\b{name}\b", readme), f"README does not name {name}"
+
+
+def test_readme_examples_run():
+    """The ``>>>`` examples of README, the library's text pipeline among them."""
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False, encoding="utf-8")
+    assert result.failed == 0 and result.attempted >= 6, result
