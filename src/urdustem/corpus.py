@@ -68,7 +68,7 @@ def data_lines(text: str, error, strip_diacritics: bool = False) -> Iterator[tup
     text = normalize(text.removeprefix("\ufeff"), strip_diacritics)
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.rstrip("\r")
-        if line.strip():
+        if line and not line.isspace():
             if "\r" in line:
                 raise error("CR inside a line", lineno)
             yield lineno, line

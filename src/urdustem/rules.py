@@ -121,7 +121,7 @@ class RuleSet(Record):
             if not isinstance(rule, AffixRule):
                 raise ValueError(f"each rule must be an AffixRule, got {rule!r}")
         rules = tuple(sorted(rules, key=lambda r: -r.pattern_length))
-        if isinstance(exceptions, str):
+        if isinstance(exceptions, (str, bytes)):
             raise ValueError(f"exceptions must be a collection of words, got {exceptions!r}")
         exceptions = frozenset(exceptions)
         if type(default_min_stem) is not int or default_min_stem < 1:
@@ -129,6 +129,8 @@ class RuleSet(Record):
         if any(not w for w in exceptions):
             raise ValueError("exception words must be non-empty")
         for word in exceptions:
+            if not isinstance(word, str):
+                raise ValueError(f"exception word {word!r} is not a str")
             if not unicodedata.is_normalized("NFC", word):
                 raise ValueError(f"exception word {word!r} is not NFC")
             if word != word.strip():

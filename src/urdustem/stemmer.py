@@ -25,7 +25,7 @@ PREFIX_FIRST = "prefix-first"
 
 
 class StemError(ValueError):
-    """Invalid stemmer input (empty or non-NFC word)."""
+    """Invalid stemmer input (a word that is not a str, empty or not NFC)."""
 
 
 class StemConfig(Record):
@@ -83,7 +83,7 @@ def shown_affix(affix: str | None) -> str:
 def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemResult:
     """Decompose one word into (prefix, stem, suffix).
 
-    The word must be non-empty and NFC-normalized (see
+    The word must be a non-empty, NFC-normalized str (see
     :func:`urdustem.corpus.normalize`).
 
     A pass probes the stem's edge once per pattern length under its edge
@@ -98,16 +98,21 @@ def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemR
     after NFC, since a replacement may start with a mark that composes
     with the residual (e.g. alif + maddah).
     """
+    try:
+        nfc = unicodedata.is_normalized("NFC", word)
+    except TypeError:  # caught, not checked first, so a str pays nothing
+        raise StemError(f"word {word!r} has type {type(word).__name__}, not str") from None
     if not word:
         raise StemError("cannot stem an empty word")
-    if not unicodedata.is_normalized("NFC", word):
+    if not nfc:
         raise StemError(f"word {word!r} is not NFC; normalize it with urdustem.corpus.normalize")
 
     if word in rs.exceptions:
         return StemResult(word=word, stem=word, exception_hit=True)
 
-    stem, n = word, graphemes.count(word)
-    applied: list[str] = []
+    # A letters-only word's clusters are its code points (graphemes.count).
+    stem, n = word, len(word) if word.isalpha() else graphemes.count(word)
+    applied = ()
     prefixes = suffixes = ""
     for suffix, passes in cfg.phases:
         buckets = rs.buckets[suffix]
@@ -129,7 +134,7 @@ def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemR
                     n = graphemes.count(stem)
                 else:
                     stem, n = rest, n - rule.pattern_length
-                applied.append(rule.rule_id)
+                applied += (rule.rule_id,)
                 if suffix:
                     # Later-stripped suffixes sit closer to the stem, i.e.
                     # earlier in logical order.
@@ -143,7 +148,7 @@ def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemR
     # Built positionally in C: the NamedTuple's keyword-parsing __new__ is
     # Python code, several times the cost of tuple.__new__ per word.
     return tuple.__new__(
-        StemResult, (word, stem, prefixes or None, suffixes or None, tuple(applied), False)
+        StemResult, (word, stem, prefixes or None, suffixes or None, applied, False)
     )
 
 

@@ -6,9 +6,12 @@ from itertools import groupby
 import pytest
 from hypothesis import given, strategies as st
 
-from urdustem import data
+from urdustem import cli, data
 from urdustem.corpus import _WordChars, data_lines, normalize, tokenize
+from urdustem.evaluation import GoldFileError, parse_gold_file
 from urdustem.graphemes import ZWJ, ZWNJ
+from urdustem.morphology import ParadigmError, parse_lexicon_file
+from urdustem.rules import RuleParseError, parse_rule_file
 from urdustem.stemmer import stem_batch
 
 from conftest import DIACRITICS, URDU_LETTERS
@@ -164,6 +167,43 @@ def test_data_lines_frames_and_unifies_letters():
     with pytest.raises(_LineError) as exc_info:
         next(lines)
     assert exc_info.value.args == ("CR inside a line", 5)
+
+
+# Every character that str.split() splits at but LF, which ends a line, and
+# CR, which is drawn only at a line's end.
+_INNER_SPACE = cli._WHITESPACE.replace("\n", "").replace("\r", "")
+
+
+@st.composite
+def _blank_and_letter_lines(draw):
+    """Lines of whitespace, some holding one letter, each maybe CR-ended.
+    A tab after the letter could make a valid gold line, so none is drawn."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        line = draw(st.text(alphabet=_INNER_SPACE, max_size=3))
+        if draw(st.booleans()):
+            line += "ک" + draw(st.text(alphabet=_INNER_SPACE.replace("\t", ""), max_size=3))
+        lines.append(line + draw(st.sampled_from(["", "\r", "\r\r"])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@given(text=_blank_and_letter_lines())
+def test_data_lines_keeps_exactly_the_lines_with_a_non_space(text):
+    # A letter line is malformed in every data file, so each reader fails
+    # at the first line that str.strip() leaves non-empty, or reads nothing.
+    kept = [n for n, line in enumerate(text.split("\n"), 1) if line.rstrip("\r").strip()]
+    assert [n for n, _ in data_lines(text, _LineError)] == kept
+    if not kept:
+        assert parse_rule_file(text).rules == () and parse_gold_file(text) == []
+        assert parse_lexicon_file(text) == []
+        return
+    with pytest.raises(RuleParseError) as rule_error:
+        parse_rule_file(text)
+    with pytest.raises(GoldFileError) as gold_error:
+        parse_gold_file(text)
+    assert rule_error.value.line == gold_error.value.line == kept[0]
+    with pytest.raises(ParadigmError, match=f"^line {kept[0]}: "):
+        parse_lexicon_file(text)
 
 
 class TestTokenize:

@@ -1,5 +1,9 @@
+import io
+import json
 import random
+import unicodedata
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from urdustem import graphemes
+from urdustem.cli import main
 from urdustem.corpus import data_lines
 from urdustem.evaluation import (
     ErrorClass,
@@ -23,9 +28,11 @@ from urdustem.evaluation import (
     summarize,
 )
 from urdustem.graphemes import ZWNJ
+from urdustem.rules import AffixKind, AffixRule, RuleSet, serialize_rule_set
 from urdustem.stemmer import StemResult, shown_affix, stem_word
 
-from conftest import random_word
+from conftest import random_ruleset, random_word
+from naive_oracle import ClusterCodes, naive_stem
 
 
 def result(word, stem, prefix=None, suffix=None):
@@ -510,3 +517,121 @@ class TestClassifyAgainstClusters:
     def test_class_equals_the_cluster_comparison(self, case, stem_only):
         res, gold = case
         assert classify_error(res, gold, stem_only) is _cluster_classify(res, gold, stem_only)
+
+
+@pytest.fixture(scope="module")
+def eval_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("eval")
+
+
+def _naive_results(rs, words, passes, order):
+    """Reference: ``naive_stem`` of each word on cluster codes, decoded to
+    text, as the dict that ``stem --json`` prints for it."""
+    codes = ClusterCodes(graphemes.split)
+    naive_rules = codes.rules(rs.rules)
+    exceptions = frozenset(map(codes, rs.exceptions))
+    coded = list(map(codes, words))
+    clusters = {code: c for c, code in codes.code_points.items()}
+
+    def decoded(text):
+        return unicodedata.normalize("NFC", "".join(map(clusters.__getitem__, text)))
+
+    rows = []
+    for word, code in zip(words, coded):
+        *parts, exception_hit, applied = naive_stem(
+            code, naive_rules, exceptions, rs.default_min_stem,
+            suffix_passes=passes[0], prefix_passes=passes[1], order=order)
+        prefix, stem, suffix = (None if p is None else decoded(p) for p in parts)
+        rows.append({"word": word, "prefix": prefix, "stem": stem, "suffix": suffix,
+                     "applied": [a[:2] + decoded(a[2:]) for a in applied],
+                     "exception": exception_hit})
+    return rows
+
+
+def _tally(rows, entries, stem_only):
+    """Reference: the ``eval --json`` report of *rows* against *entries*,
+    each pair classified by ``_cluster_classify`` and every entry counted,
+    with no deduplication."""
+    correct = over = under = pass_through = 0
+    correct_words = set()
+    for row, gold in zip(rows, entries):
+        res = StemResult(row["word"], row["stem"], row["prefix"], row["suffix"])
+        cls = _cluster_classify(res, gold, stem_only)
+        if cls is ErrorClass.CORRECT:
+            correct += 1
+            correct_words.add(gold.word)
+            pass_through += row["prefix"] is None and row["suffix"] is None and not row["exception"]
+        over += cls is ErrorClass.OVER_STEMMING
+        under += cls is ErrorClass.UNDER_STEMMING
+    total = len(entries)
+    tenths = (2000 * correct + total) // (2 * total)  # 1000 * correct / total, half-up
+    lengths = [len(graphemes.split(g.word)) for g in entries]
+    return {
+        "total_words": total, "correct": correct, "wrong": total - correct,
+        "unique_correct": len(correct_words), "pass_through_count": pass_through,
+        "accuracy_percent": f"{tenths // 10}.{tenths % 10}", "over_count": over,
+        "under_count": under, "other_count": total - correct - over - under,
+        "min_word_len": min(lengths), "max_word_len": max(lengths),
+    }
+
+
+class TestEvalCommandAgainstReference:
+    """``eval --json`` end to end against a reference that shares no scoring
+    code with it: each gold line parsed on its own, each entry stemmed by
+    ``naive_stem``, and no ``Counter``, ``classify_error`` or ``stem_word``.
+    ``stem --json`` of the gold words is checked against the same stems,
+    since ``applied`` reaches no field of the report."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rs=st.builds(lambda seed, n: random_ruleset(random.Random(seed), n)[0],
+                     st.integers(0, 2**32 - 1), st.integers(1, 24)),
+        exceptions=st.sets(st.sampled_from(["قلم", "کتابیں", "علاقوں"])),
+        text=_gold_texts(), strip_diacritics=st.booleans(), stem_only=st.booleans(),
+        passes=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        order=st.sampled_from(["suffix-first", "prefix-first"]),
+    )
+    # Each class occurs: قلم over-stemmed by م, کتابیں under-stemmed by ں,
+    # نوجوان correct, a repeated کتاب passed through, کتاب + fatha + یں other.
+    @example(rs=RuleSet([AffixRule(AffixKind.SUFFIX, "م"), AffixRule(AffixKind.SUFFIX, "ں"),
+                         AffixRule(AffixKind.PREFIX, "نو"),
+                         AffixRule(AffixKind.SUFFIX, "یں", min_stem=5)]),
+             exceptions=set(),
+             text="قلم\tقلم\nکتابیں\tکتاب\t\tیں\nنوجوان\tجوان\tنو\nکتاب\tکتاب\n"
+                  "کتاب\u064eیں\tکتاب\t\tیں\nکتاب\tکتاب\n",
+             strip_diacritics=False, stem_only=False, passes=(1, 1), order="suffix-first")
+    def test_report_equals_an_entry_by_entry_tally(
+        self, eval_dir, rs, exceptions, text, strip_diacritics, stem_only, passes, order
+    ):
+        rs = RuleSet(rs.rules, exceptions, rs.default_min_stem)
+        rules, gold, words = eval_dir / "random.rules", eval_dir / "gold.tsv", eval_dir / "words.txt"
+        rules.write_text(serialize_rule_set(rs), encoding="utf-8")
+        gold.write_text(text, encoding="utf-8")
+        flags = ["--rules", str(rules), f"--strip-diacritics={strip_diacritics}",
+                 "--suffix-passes", str(passes[0]), "--prefix-passes", str(passes[1]),
+                 "--order", order]
+
+        def run(*argv):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([*argv, *flags])
+            return code, out.getvalue(), err.getvalue()
+
+        code, out, err = run("eval", "--gold", str(gold), "--json",
+                             *(["--stem-only"] if stem_only else []))
+        try:
+            entries = [entry for _, entry in _parse_gold_lines_alone(text, strip_diacritics)]
+        except GoldFileError as exc:
+            assert (code, out) == (2, "")
+            assert err.startswith(f"urdustem: {gold}: line {exc.line}: ")
+            return
+        if not entries:
+            assert (code, out) == (2, "") and "empty evaluation set" in err
+            return
+        rows = _naive_results(rs, [g.word for g in entries], passes, order)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == _tally(rows, entries, stem_only)
+        words.write_text("".join(g.word + "\n" for g in entries), encoding="utf-8")
+        code, out, err = run("stem", str(words), "--pretokenized", "--json")
+        assert (code, err) == (0, "")
+        assert list(map(json.loads, out.splitlines())) == rows

@@ -35,7 +35,8 @@ CASES = {
         ((AffixRule(S, "وں"), AffixRule(P, "بد")), frozenset({"کتاب"}), 3),
         ((AffixRule(S, "وں"),),),
         [((), frozenset(), 0), ((), frozenset({""})), ((AffixRule(S, "ی"),) * 2,),
-         ((), frozenset({"کتا\u0627\u0653"})), ((), "کتاب"), (["S\tوں"],)],
+         ((), frozenset({"کتا\u0627\u0653"})), ((), "کتاب"), (["S\tوں"],), ((), [1]), ((), b"ab"),
+         ((), [b"ab"])],
     ),
     ParadigmEntry: (("لڑکا",), ("علاقہ",), [("سوال",), ("",)]),
     Adjective: (("لمبا",), ("اچھا",), [("سرخ",), ("",)]),

@@ -83,6 +83,11 @@ class TestContracts:
         with pytest.raises(StemError, match="normalize"):
             stem_word(word, default_rules)
 
+    @pytest.mark.parametrize("word,name", [(1, "int"), (b"ab", "bytes"), (None, "NoneType")])
+    def test_non_str_word_errors_naming_its_type(self, default_rules, word, name):
+        with pytest.raises(StemError, match=f"^word {word!r} has type {name}, not str$"):
+            stem_word(word, default_rules)
+
     def test_min_stem_blocks_short_residuals(self):
         rs = parse_rule_file("S\tات\t\t3\n")
         assert stem_word("سوالات", rs).stem == "سوال"
@@ -227,7 +232,9 @@ class TestBatch:
         (["قلم", "e\u0301", "قلم", "e\u0301"], 1),
         (["قلم", "کتاب", "قلم", "", "کتاب", ""], 3),
         (["قلم", "قلم", "e\u0301", ""], 2),
-    ], ids=["non-nfc", "empty", "non-nfc-then-empty"])
+        (["قلم", 1, "قلم", 1], 1),
+        (["قلم", "کتاب", "قلم", b"ab"], 3),
+    ], ids=["non-nfc", "empty", "non-nfc-then-empty", "int", "bytes"])
     def test_error_index_is_first_position_of_the_bad_word(self, default_rules, words, index):
         for given in (words, iter(words)):
             with pytest.raises(StemError, match=f"^word {index}: "):
