@@ -25,6 +25,13 @@ output in one write.  So its memory follows the input's bytes and
 vocabulary, not its text or lines; only a run of text with no whitespace
 at all stays one block, however long.
 
+A ``--json`` line is ``{"word": ``, the escaped word, the text from
+``, "prefix"`` up to the stem, the escaped stem, and the text from
+``, "suffix"`` to the LF.  Those two stretches of text depend only on the
+result's prefix, suffix, ``applied`` and exception flag, so they are
+escaped once per such firing sequence and kept, for one ``stem`` run, in
+a dict keyed by it.
+
 Each command runs with the cyclic garbage collector paused.  The
 commands make no reference cycles, so reference counting frees all they
 drop, and the collector would only re-scan what they keep alive: for
@@ -79,16 +86,26 @@ _WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\
                "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 _WHITESPACE_UTF8 = b"|".join(re.escape(c.encode("utf-8")) for c in _WHITESPACE)
 
-# A --json line has a fixed schema, built in one f-string from the unpacked
-# result, so no format string is parsed and no attribute is read per word.
-# Its strings go through *q*, json.encoder.encode_basestring (cmd_stem
-# imports it only for --json), the escaper that
+# A --json line's strings go through *q*, json.encoder.encode_basestring
+# (cmd_stem imports it only for --json), the escaper that
 # JSONEncoder(ensure_ascii=False) applies to strings, so the bytes match it.
-def _json_line(r: StemResult, q) -> str:
-    word, stem, prefix, suffix, applied, exception = r
-    return (f'{{"word": {q(word)}, "prefix": {"null" if prefix is None else q(prefix)}, '
-            f'"stem": {q(stem)}, "suffix": {"null" if suffix is None else q(suffix)}, '
-            f'"applied": [{", ".join(map(q, applied))}], "exception": {"true" if exception else "false"}}}\n')
+# The module docstring says how a line is put together.
+def _json_renderer(q):
+    """A function from a :class:`StemResult` to its ``--json`` line, with its own fragment dict."""
+    fragments: dict[tuple, tuple[str, str]] = {}
+
+    def render(r: StemResult) -> str:
+        key = r[2:]
+        parts = fragments.get(key)
+        if parts is None:
+            prefix, suffix, applied, exception = key
+            parts = fragments[key] = (
+                f', "prefix": {"null" if prefix is None else q(prefix)}, "stem": ',
+                f', "suffix": {"null" if suffix is None else q(suffix)}, '
+                f'"applied": [{", ".join(map(q, applied))}], "exception": {"true" if exception else "false"}}}\n')
+        return f'{{"word": {q(r[0])}{parts[0]}{q(r[1])}{parts[1]}'
+
+    return render
 
 
 def _tsv_line(r: StemResult) -> str:
@@ -204,7 +221,7 @@ def cmd_stem(args) -> int:
 
     if args.json:
         from json.encoder import encode_basestring
-        render = lambda r: _json_line(r, encode_basestring)
+        render = _json_renderer(encode_basestring)
     else:
         render = _tsv_line
     lines: dict[str, str] = {}  # each distinct word's output line, kept across blocks

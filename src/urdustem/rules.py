@@ -103,11 +103,13 @@ class RuleSet(Record):
     Rules are kept sorted by pattern grapheme length, descending, ties in
     source order.  ``buckets`` (not a field) indexes them for the stemmer:
     keyed by ``kind is AffixKind.SUFFIX``, then by edge letter (a suffix's
-    last code point, a prefix's first), a tuple of ``(k, {pattern: (rule,
-    min_clusters)})`` pairs, where *k* is the pattern length in code points,
-    longest first; ``min_clusters``, the pattern's grapheme count plus its
-    ``min_stem`` (else ``default_min_stem``), is the fewest clusters a word
-    needs for the rule to fire.  Building it rejects a duplicate ``(kind, pattern)``.
+    last code point, a prefix's first), one tuple of ``(pattern, rule,
+    min_clusters)`` entries, longest pattern in code points first;
+    ``min_clusters``, the pattern's grapheme count plus its ``min_stem``
+    (else ``default_min_stem``), is the fewest clusters a word needs for
+    the rule to fire.  Two distinct patterns of one length cannot both
+    match one stem, so the first entry found at a stem's edge is the
+    longest match.  Building it rejects a duplicate ``(kind, pattern)``.
     """
 
     __slots__ = ("rules", "exceptions", "default_min_stem", "buckets")
@@ -123,32 +125,34 @@ class RuleSet(Record):
         rules = tuple(sorted(rules, key=lambda r: -r.pattern_length))
         if isinstance(exceptions, (str, bytes)):
             raise ValueError(f"exceptions must be a collection of words, got {exceptions!r}")
+        exceptions = tuple(exceptions)
+        for word in exceptions:  # before frozenset, which cannot hash a list
+            if not isinstance(word, str):
+                raise ValueError(f"exception word {word!r} is not a str")
         exceptions = frozenset(exceptions)
         if type(default_min_stem) is not int or default_min_stem < 1:
             raise ValueError(f"default_min_stem must be a positive int, got {default_min_stem!r}")
-        if any(not w for w in exceptions):
+        if "" in exceptions:
             raise ValueError("exception words must be non-empty")
         for word in exceptions:
-            if not isinstance(word, str):
-                raise ValueError(f"exception word {word!r} is not a str")
             if not unicodedata.is_normalized("NFC", word):
                 raise ValueError(f"exception word {word!r} is not NFC")
             if word != word.strip():
                 # stem, eval and gen trim every word they read, so it could never match.
                 raise ValueError(f"exception word {word!r} has whitespace at an edge")
         self._set(rules=rules, exceptions=exceptions, default_min_stem=default_min_stem)
-        buckets: dict[bool, dict[str, dict[int, dict]]] = {True: {}, False: {}}
+        buckets: dict[bool, dict[str, list[tuple]]] = {True: {}, False: {}}
+        seen: set[tuple[bool, str]] = set()
         for rule in sorted(rules, key=lambda r: -len(r.pattern)):
             suffix = rule.kind is AffixKind.SUFFIX
-            by_length = buckets[suffix].setdefault(rule.pattern[-1 if suffix else 0], {})
-            bucket = by_length.setdefault(len(rule.pattern), {})
-            if rule.pattern in bucket:
+            if (suffix, rule.pattern) in seen:
                 raise ValueError(f"duplicate rule {rule.rule_id}")
-            bucket[rule.pattern] = (rule, rule.pattern_length + (rule.min_stem or default_min_stem))
-        self._set(buckets={
-            suffix: {edge: tuple(b.items()) for edge, b in by_edge.items()}
-            for suffix, by_edge in buckets.items()
-        })
+            seen.add((suffix, rule.pattern))
+            min_clusters = rule.pattern_length + (rule.min_stem or default_min_stem)
+            buckets[suffix].setdefault(rule.pattern[-1 if suffix else 0], []).append(
+                (rule.pattern, rule, min_clusters))
+        self._set(buckets={suffix: {edge: tuple(entries) for edge, entries in by_edge.items()}
+                           for suffix, by_edge in buckets.items()})
 
     @property
     def suffix_count(self) -> int:

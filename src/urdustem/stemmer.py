@@ -1,14 +1,16 @@
 """Affix stripping by longest-first edge matching.
 
 The engine looks the word's edge letter up in the rule set's pattern
-index, probes once per pattern length under it, longest first, and
-detaches the first affix found that leaves a long-enough residual stem.
-A word matching nothing is returned unchanged; exception-listed words
-are returned verbatim before any rule is consulted.  A recoded stem is
-renormalized to NFC.  Every pass runs inside ``stem_word``'s own loop,
-probes the word string itself and carries the residual's cluster count
-as arithmetic; only a recoding counts clusters again.  ``stem_batch``
-stems each distinct word once, so repeats share one :class:`StemResult`.
+index, tries its patterns longest first, and detaches the first affix
+found at the edge that leaves a long-enough residual stem.  A word
+matching nothing is returned unchanged; exception-listed words are
+returned verbatim before any rule is consulted.  A recoded stem is
+renormalized to NFC.  Every pass runs inside ``stem_word``'s own loop and
+probes the stem string itself, cutting it only for the affix it takes.
+A letters-only stem's clusters are its code points; any other stem's are
+counted only once a pattern sits at its edge, and then carried as
+arithmetic until a recoding.  ``stem_batch`` stems each distinct word
+once, so repeats share one :class:`StemResult`.
 """
 
 import unicodedata
@@ -86,17 +88,24 @@ def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemR
     The word must be a non-empty, NFC-normalized str (see
     :func:`urdustem.corpus.normalize`).
 
-    A pass probes the stem's edge once per pattern length under its edge
-    letter in ``RuleSet.buckets``, longest first, and takes a match only
-    if the stem's *n* clusters reach the rule's minimum, which leaves at
-    least one (``min_stem >= 1``), so the stem is never empty.  A match stands only where it cuts between two clusters:
-    a suffix pattern starts with a non-extender (``AffixRule`` rejects
-    the others), and a prefix cut is refused when the residual starts
-    with an extender.  So every cut takes whole clusters, the residual
-    has ``n - rule.pattern_length`` of them, and longest first by code
-    points is longest first by clusters.  Only a recoding counts again,
-    after NFC, since a replacement may start with a mark that composes
-    with the residual (e.g. alif + maddah).
+    A pass tries the patterns under the stem's edge letter in
+    ``RuleSet.buckets``, longest first, each with ``str.removesuffix`` or
+    ``str.removeprefix``, which leave a stem that lacks the pattern as it
+    is and cut only one that has it.  Two distinct patterns of one length
+    cannot both match, so the first pattern found at the edge is the
+    longest match.  A match is taken only if the stem's *n* clusters reach
+    the rule's minimum, which leaves at least one (``min_stem >= 1``), so
+    the stem is never empty; else the scan goes on to shorter patterns.  A match stands only where it cuts between two
+    clusters: a suffix pattern starts with a non-extender (``AffixRule``
+    rejects the others), and a prefix cut is refused when the residual
+    starts with an extender, which a letters-only stem never holds.  So
+    every cut takes whole clusters, the residual has
+    ``n - rule.pattern_length`` of them, and longest first by code points
+    is longest first by clusters.  A stem that is not letters-only has its
+    clusters counted when a pattern first sits at its edge, and a recoding
+    makes the stem's count and letters-only flag afresh, after NFC, since
+    a replacement may hold a mark, or start with one that composes with
+    the residual (e.g. alif + maddah).
     """
     try:
         nfc = unicodedata.is_normalized("NFC", word)
@@ -110,37 +119,43 @@ def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemR
     if word in rs.exceptions:
         return StemResult(word=word, stem=word, exception_hit=True)
 
-    # A letters-only word's clusters are its code points (graphemes.count).
-    stem, n = word, len(word) if word.isalpha() else graphemes.count(word)
+    # A letters-only stem's clusters are its code points, and none of them
+    # extends a cluster; any other stem's clusters are counted (n is -1
+    # until then) only once a pattern sits at its edge.
+    letters = word.isalpha()
+    stem, n = word, len(word) if letters else -1
     applied = ()
     prefixes = suffixes = ""
     for suffix, passes in cfg.phases:
         buckets = rs.buckets[suffix]
         for _ in range(passes):
-            for k, by_pattern in buckets.get(stem[-1] if suffix else stem[0], ()):
-                hit = by_pattern.get(stem[-k:] if suffix else stem[:k])
-                if hit is None or n < hit[1]:
+            # Not str.endswith: in CPython 3.11 that call parses a varargs
+            # tuple, several times the cost of a removesuffix that misses.
+            cut = stem.removesuffix if suffix else stem.removeprefix
+            for pattern, rule, min_clusters in buckets.get(stem[-1] if suffix else stem[0], ()):
+                rest = cut(pattern)
+                if rest == stem:  # the pattern is not at the edge
                     continue
-                rule = hit[0]
-                if suffix:
-                    rest = stem[:-k]
-                else:
-                    rest = stem[k:]
-                    if graphemes.extends_cluster(rest[0]):
-                        continue
+                if n < 0:
+                    n = graphemes.count(stem)
+                if n < min_clusters:
+                    continue
+                if not (suffix or letters) and graphemes.extends_cluster(rest[0]):
+                    continue
                 if rule.replacement:
                     stem = unicodedata.normalize(
                         "NFC", rest + rule.replacement if suffix else rule.replacement + rest)
-                    n = graphemes.count(stem)
+                    letters = stem.isalpha()
+                    n = len(stem) if letters else -1
                 else:
                     stem, n = rest, n - rule.pattern_length
                 applied += (rule.rule_id,)
                 if suffix:
                     # Later-stripped suffixes sit closer to the stem, i.e.
                     # earlier in logical order.
-                    suffixes = rule.pattern + suffixes
+                    suffixes = pattern + suffixes
                 else:
-                    prefixes += rule.pattern
+                    prefixes += pattern
                 break
             else:  # no rule matched: this phase is done
                 break
@@ -162,8 +177,18 @@ def stem_batch(words, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> list[Ste
     if isinstance(words, str):
         raise StemError("a str is not a list of words; split it with urdustem.corpus.tokenize")
     words = list(words)
+    try:
+        distinct = dict.fromkeys(words)
+    except TypeError:  # an unhashable word, which is no str
+        for i, word in enumerate(words):
+            try:
+                hash(word)
+            except TypeError:
+                stem_batch(words[:i], rs, cfg)  # a bad word before it is named first
+                raise StemError(
+                    f"word {i}: word {word!r} has type {type(word).__name__}, not str") from None
     results: dict[str, StemResult] = {}
-    for word in dict.fromkeys(words):
+    for word in distinct:
         try:
             results[word] = stem_word(word, rs, cfg)
         except StemError as exc:

@@ -17,12 +17,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from urdustem import cli, corpus, data, evaluation, morphology, stemmer
-from urdustem.cli import EXIT_PIPE, _json_line, _tsv_line, main
+from urdustem.cli import EXIT_PIPE, _json_renderer, _tsv_line, main
 from urdustem.graphemes import ZWJ, ZWNJ
-from urdustem.rules import RuleParseError, parse_rule_file, serialize_rule_set
+from urdustem.rules import AffixKind, AffixRule, RuleParseError, RuleSet, parse_rule_file, serialize_rule_set
 from urdustem.stemmer import StemConfig, StemResult, shown_affix, stem_batch, stem_word
 
-from conftest import DIACRITICS, URDU_LETTERS, random_word
+from conftest import DIACRITICS, URDU_LETTERS, random_ruleset, random_word
+from test_evaluation import _naive_results
 from test_rules import _RULE_LINES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -155,7 +156,25 @@ class TestStem:
             {"word": word, "prefix": prefix, "stem": stem, "suffix": suffix,
              "applied": list(applied), "exception": exception}
         )
-        assert _json_line(r, encode_basestring) == expected + "\n"
+        assert _json_renderer(encode_basestring)(r) == expected + "\n"
+
+    @given(
+        tails=st.lists(st.tuples(st.none() | _JSON_FIELD, st.none() | _JSON_FIELD,
+                                 st.lists(_JSON_FIELD, max_size=3).map(tuple), st.booleans()),
+                       min_size=1, max_size=4),
+        heads=st.lists(st.tuples(_JSON_FIELD, _JSON_FIELD, st.integers(0, 3)), max_size=20),
+    )
+    def test_one_renderer_gives_each_line_as_json_dumps(self, tails, heads):
+        # Results that share a firing sequence but differ in word and stem,
+        # through one renderer, so that later lines reuse its fragments.
+        render = _json_renderer(encode_basestring)
+        for word, stem, i in heads:
+            prefix, suffix, applied, exception = tails[i % len(tails)]
+            expected = json.dumps({"word": word, "prefix": prefix, "stem": stem, "suffix": suffix,
+                                   "applied": list(applied), "exception": exception},
+                                  ensure_ascii=False)
+            r = StemResult(word, stem, prefix, suffix, applied, exception)
+            assert render(r) == expected + "\n"
 
     @given(
         word=_TSV_FIELD, stem=_TSV_FIELD,
@@ -809,6 +828,78 @@ class TestInputBlocks:
             # A starter, and one character under NFC.
             assert unicodedata.combining(ch) == 0
             assert len(unicodedata.normalize("NFC", ch)) == 1
+
+
+# Rules added to a random rule file for the word-list property: recodings
+# to a letter with a fatha, so that a letters-only stem gains a mark, rules
+# whose patterns hold '"' and '\\', and patterns that the pieces of
+# _WORD_LIST_WORD carry, some inside others.  Each is drawn with even odds;
+# one whose (kind, pattern) the random file has already is left out.
+_EXTRA_RULES = (
+    ("S", "وں", "ہَ", None), ("S", "ہَ", "", 5), ("P", "ا", "بَ", 1), ("P", "نو", "بَ", None),
+    ("P", "ب", "", 1),
+    ("S", '"', "", 1), ("P", "\\", "", 1), ("S", 'ی"', "ے", None), ("P", '"\\', "", 1),
+    ("S", "یاں", "ی", None), ("P", "بد", "", None), ("S", "یَ", "", None), ("S", "ں", "", 1),
+)
+
+_EXCEPTION_WORD = "بدمعاش"
+
+# One --pretokenized line: letters and affixes, harakat, ZWNJ, '"', '\\'
+# and spaces; or the exception word.
+_WORD_LIST_WORD = st.lists(st.sampled_from(
+    ["بد", "نو", "کتاب", "علاق", "اکتاب", "وں", "یاں", "ہَ", "ات", "ے", "ی", "ب", "ا",
+     "َ", "ِ", ZWNJ, '"', "\\", " "]), min_size=1, max_size=5).map("".join)
+_WORD_LIST = st.lists(_WORD_LIST_WORD | st.just(_EXCEPTION_WORD), min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=30))  # with repeats
+
+
+class TestWordListAgainstNaiveStemmer:
+    """``stem --pretokenized``, TSV and ``--json``, line for line against
+    ``naive_stem`` through ``ClusterCodes``, each line rendered here by
+    ``json.dumps`` or a tab join, over random rule files with recodings,
+    repeated words and block sizes that spread one firing sequence's lines
+    over many blocks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_rules=st.integers(1, 24),
+           extra=st.lists(st.booleans(), min_size=len(_EXTRA_RULES), max_size=len(_EXTRA_RULES)).map(
+               lambda drawn: {rule for rule, on in zip(_EXTRA_RULES, drawn) if on}),
+           words=_WORD_LIST,
+           block=st.integers(1, 300), passes=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+           order=st.sampled_from([stemmer.SUFFIX_FIRST, stemmer.PREFIX_FIRST]), strip=st.booleans())
+    # A pass-through word after the exception word shares its affixes and
+    # rules, not its "exception"; "اکتاب" is recoded to "بَکتاب", which
+    # the second prefix pass must not cut inside its first cluster; "کتابوں"
+    # is recoded to "کتابہَ", five clusters in six code points, too short
+    # for "ہَ" and its min_stem of 5; "بدنام" loses "بد", not "ب".
+    @example(seed=0, n_rules=1, extra={("P", "ا", "بَ", 1), ("P", "ب", "", 1), ("S", "وں", "ہَ", None),
+                                        ("S", "ہَ", "", 5), ("P", "بد", "", None)},
+             words=[_EXCEPTION_WORD, "قلم", "اکتاب", "کتابوں", '"کتاب\\', "بدنام"], block=1, passes=(2, 2),
+             order=stemmer.SUFFIX_FIRST, strip=False)
+    def test_lines_equal_the_naive_stemmer(self, blocks_dir, seed, n_rules, extra, words, block,
+                                           passes, order, strip):
+        rs = random_ruleset(random.Random(seed), n_rules)[0]
+        kinds = {(r.kind.value, r.pattern) for r in rs.rules}
+        rules = [*rs.rules, *(AffixRule(AffixKind(kind), pattern, replacement, min_stem)
+                              for kind, pattern, replacement, min_stem in sorted(extra, key=str)
+                              if (kind, pattern) not in kinds)]
+        rs = RuleSet(rules, {_EXCEPTION_WORD}, rs.default_min_stem)
+        rules_path, words_path = blocks_dir / "naive.rules", blocks_dir / "naive.txt"
+        rules_path.write_text(serialize_rule_set(rs), encoding="utf-8")
+        words_path.write_bytes("".join(w + "\n" for w in words).encode("utf-8"))
+        normalized = corpus.normalize("\n".join(words), strip)
+        rows = _naive_results(rs, [w for w in map(str.strip, normalized.split("\n")) if w],
+                              passes, order)
+        argv = ["stem", str(words_path), "--pretokenized", "--rules", str(rules_path),
+                "--suffix-passes", str(passes[0]), "--prefix-passes", str(passes[1]),
+                "--order", order, f"--strip-diacritics={strip}"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_INPUT_BLOCK", block)
+            tsv, as_json = _stdout_of(argv), _stdout_of([*argv, "--json"])
+        assert tsv == (0, "".join("\t".join((row["word"], (row["prefix"] or "").strip(), row["stem"],
+                                             (row["suffix"] or "").strip())) + "\n"
+                                  for row in rows), "")
+        assert as_json == (0, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), "")
 
 
 class TestStdinNamedOnce:

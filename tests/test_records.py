@@ -36,7 +36,7 @@ CASES = {
         ((AffixRule(S, "وں"),),),
         [((), frozenset(), 0), ((), frozenset({""})), ((AffixRule(S, "ی"),) * 2,),
          ((), frozenset({"کتا\u0627\u0653"})), ((), "کتاب"), (["S\tوں"],), ((), [1]), ((), b"ab"),
-         ((), [b"ab"])],
+         ((), [b"ab"]), ((), [["کتاب"]]), ((), ["کتاب", {"قلم": 1}]), ((), ["کتاب", {"قلم"}])],
     ),
     ParadigmEntry: (("لڑکا",), ("علاقہ",), [("سوال",), ("",)]),
     Adjective: (("لمبا",), ("اچھا",), [("سرخ",), ("",)]),
@@ -123,17 +123,16 @@ def _indexed(rs: RuleSet) -> list:
     """Every bucket entry of *rs*, checked against the rule it holds."""
     entries = []
     for suffix, by_edge in rs.buckets.items():
-        for edge, by_length in by_edge.items():
-            lengths = [k for k, _ in by_length]
-            assert lengths == sorted(set(lengths), reverse=True)
-            for k, by_pattern in by_length:
-                for pattern, (rule, min_clusters) in by_pattern.items():
-                    assert rule.pattern == pattern and len(pattern) == k
-                    assert (rule.kind is S) == suffix
-                    assert pattern[-1 if suffix else 0] == edge
-                    min_stem = rule.min_stem or rs.default_min_stem
-                    assert min_clusters == rule.pattern_length + min_stem
-                    entries.append(rule)
+        for edge, bucket in by_edge.items():
+            lengths = [len(pattern) for pattern, _, _ in bucket]
+            assert lengths == sorted(lengths, reverse=True)
+            for pattern, rule, min_clusters in bucket:
+                assert rule.pattern == pattern
+                assert (rule.kind is S) == suffix
+                assert pattern[-1 if suffix else 0] == edge
+                min_stem = rule.min_stem or rs.default_min_stem
+                assert min_clusters == rule.pattern_length + min_stem
+                entries.append(rule)
     return entries
 
 

@@ -308,8 +308,8 @@ class TestParse:
 
 
 def _index(by_edge):
-    """``RuleSet.buckets[suffix]`` with each pattern dict reduced to its keys."""
-    return {edge: [(k, list(b)) for k, b in by_length] for edge, by_length in by_edge.items()}
+    """``RuleSet.buckets[suffix]`` with each entry reduced to its pattern."""
+    return {edge: [pattern for pattern, _, _ in bucket] for edge, bucket in by_edge.items()}
 
 
 class TestRuleSet:
@@ -323,17 +323,19 @@ class TestRuleSet:
 
     def test_buckets_index_each_kind_longest_first(self):
         # Keyed by the suffix flag, then by the edge letter (a suffix's last
-        # code point, a prefix's first), then by pattern length in code
-        # points: the fatha puts the two-cluster "وَں" and "بَد" among the
-        # length-3 patterns, while min_clusters still counts clusters.
+        # code point, a prefix's first), one (pattern, rule, min_clusters)
+        # tuple per rule, longest in code points first: the fatha puts the
+        # two-cluster "وَں" and "بَد" among the length-3 patterns, while
+        # min_clusters still counts clusters.
         rs = parse_rule_file("S\tی\nS\tوں\nP\tنو\nS\tیاں\nS\tات\nS\tوَں\nP\tبَد\n")
-        assert _index(rs.buckets[True]) == {
-            "ں": [(3, ["یاں", "وَں"]), (2, ["وں"])],
-            "ت": [(2, ["ات"])],
-            "ی": [(1, ["ی"])],
+        assert _index(rs.buckets[True]) == {"ں": ["یاں", "وَں", "وں"], "ت": ["ات"], "ی": ["ی"]}
+        assert _index(rs.buckets[False]) == {"ب": ["بَد"], "ن": ["نو"]}
+        assert {pattern: (rule.pattern, min_clusters)
+                for pattern, rule, min_clusters in rs.buckets[True]["ں"]} == {
+            "یاں": ("یاں", 3 + DEFAULT_MIN_STEM),
+            "وَں": ("وَں", 2 + DEFAULT_MIN_STEM),
+            "وں": ("وں", 2 + DEFAULT_MIN_STEM),
         }
-        assert _index(rs.buckets[False]) == {"ب": [(3, ["بَد"])], "ن": [(2, ["نو"])]}
-        assert dict(rs.buckets[True]["ں"])[3]["وَں"][1] == 2 + DEFAULT_MIN_STEM
         assert "buckets" not in repr(rs)
 
     @pytest.mark.parametrize("value", [1.5, 2.0, "1", True, None],
@@ -356,6 +358,13 @@ class TestRuleSet:
             parse_rule_file(f"S\tاب\n#!exception\t{word}\n")
         assert str(exc_info.value) == f"line 2: exception word {word!r} has whitespace at an edge"
 
+    @pytest.mark.parametrize("bad", [["کتاب"], {"کتاب": 1}, {"کتاب"}], ids=["list", "dict", "set"])
+    def test_unhashable_exception_word_rejected_naming_it(self, bad):
+        for words in ([bad], ["قلم", bad]):
+            with pytest.raises(ValueError) as exc_info:
+                RuleSet((), words)
+            assert str(exc_info.value) == f"exception word {bad!r} is not a str"
+
     def test_exception_word_with_inner_whitespace_kept(self):
         # A --pretokenized word may hold a space.
         assert RuleSet((), frozenset({"بد نصیب"})).exceptions == {"بد نصیب"}
@@ -372,10 +381,7 @@ class TestEdgeIndex:
 
     def test_patterns_sharing_an_edge_letter_probe_longest_first(self):
         rs = parse_rule_file("S\tں\t4\nS\tوں\nS\tیوں\t3\nS\tئیوں\t9\nS\tات\n")
-        assert _index(rs.buckets[True]) == {
-            "ں": [(4, ["ئیوں"]), (3, ["یوں"]), (2, ["وں"]), (1, ["ں"])],
-            "ت": [(2, ["ات"])],
-        }
+        assert _index(rs.buckets[True]) == {"ں": ["ئیوں", "یوں", "وں", "ں"], "ت": ["ات"]}
         # The longest pattern that leaves enough stem wins; a too-short
         # residual falls through to the next length under the same letter.
         assert _parts("لڑکیوں", rs) == (None, "لڑک", "یوں")
@@ -385,14 +391,14 @@ class TestEdgeIndex:
 
     def test_suffix_ending_in_a_mark_sits_under_the_mark(self):
         rs = parse_rule_file("S\tیَ\nS\tی\n")
-        assert _index(rs.buckets[True]) == {"\u064e": [(2, ["یَ"])], "ی": [(1, ["ی"])]}
+        assert _index(rs.buckets[True]) == {"\u064e": ["یَ"], "ی": ["ی"]}
         assert _parts("کتابیَ", rs) == (None, "کتاب", "یَ")
         assert _parts("کتابی", rs) == (None, "کتاب", "ی")
         assert _parts("کتابَ", rs) == (None, "کتابَ", None)
 
     def test_prefix_with_a_trailing_space_sits_under_its_first_letter(self):
         rs = parse_rule_file("P\tبد \nP\tبد\nP\tب\n")
-        assert _index(rs.buckets[False]) == {"ب": [(3, ["بد "]), (2, ["بد"]), (1, ["ب"])]}
+        assert _index(rs.buckets[False]) == {"ب": ["بد ", "بد", "ب"]}
         assert _parts("بد نصیب", rs) == ("بد ", "نصیب", None)
         assert _parts("بدنام", rs) == ("بد", "نام", None)
         assert rs.buckets[True] == {}
@@ -403,9 +409,7 @@ class TestEdgeIndex:
             RuleSet(rules)
         # The same pattern as a prefix is another rule under another edge.
         rs = RuleSet((AffixRule(S, "نو"), AffixRule(P, "نو")))
-        assert (_index(rs.buckets[True]), _index(rs.buckets[False])) == (
-            {"و": [(2, ["نو"])]}, {"ن": [(2, ["نو"])]},
-        )
+        assert (_index(rs.buckets[True]), _index(rs.buckets[False])) == ({"و": ["نو"]}, {"ن": ["نو"]})
 
 
 _TEXT = ["وں", "ہ", "ے", "ات", "بد ", "قلم", "لڑکا", "علاقہ", "کھا", "اچھا"]

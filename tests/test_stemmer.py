@@ -234,11 +234,25 @@ class TestBatch:
         (["قلم", "قلم", "e\u0301", ""], 2),
         (["قلم", 1, "قلم", 1], 1),
         (["قلم", "کتاب", "قلم", b"ab"], 3),
-    ], ids=["non-nfc", "empty", "non-nfc-then-empty", "int", "bytes"])
+        ([["قلم"]], 0),
+        (["قلم", {"قلم": 1}, "قلم"], 1),
+        (["قلم", "کتاب", {"قلم"}], 2),
+        (["قلم", "", ["قلم"]], 1),
+        (["قلم", 1, ["قلم"], 1], 1),
+    ], ids=["non-nfc", "empty", "non-nfc-then-empty", "int", "bytes", "list", "dict-after-a-word",
+            "set-after-words", "empty-then-list", "int-then-list"])
     def test_error_index_is_first_position_of_the_bad_word(self, default_rules, words, index):
         for given in (words, iter(words)):
             with pytest.raises(StemError, match=f"^word {index}: "):
                 stem_batch(given, default_rules)
+
+    @pytest.mark.parametrize("bad", [["قلم"], {"قلم": 1}, {"قلم"}], ids=["list", "dict", "set"])
+    def test_unhashable_word_errors_naming_its_index_and_type(self, default_rules, bad):
+        for words in ([bad], ["قلم", bad]):
+            with pytest.raises(StemError) as exc_info:
+                stem_batch(words, default_rules)
+            index = len(words) - 1
+            assert str(exc_info.value) == f"word {index}: word {bad!r} has type {type(bad).__name__}, not str"
 
     def test_large_random_batch_matches_per_word_path(self, default_rules):
         rng = random.Random(7)
