@@ -86,12 +86,14 @@ _WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\
                "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 _WHITESPACE_UTF8 = b"|".join(re.escape(c.encode("utf-8")) for c in _WHITESPACE)
 
-# A --json line's strings go through *q*, json.encoder.encode_basestring
-# (cmd_stem imports it only for --json), the escaper that
+# A --json line's strings go through json.encoder.encode_basestring (imported
+# here, so that only --json pays for it), the escaper that
 # JSONEncoder(ensure_ascii=False) applies to strings, so the bytes match it.
 # The module docstring says how a line is put together.
-def _json_renderer(q):
+def _json_renderer():
     """A function from a :class:`StemResult` to its ``--json`` line, with its own fragment dict."""
+    from json.encoder import encode_basestring as q
+
     fragments: dict[tuple, tuple[str, str]] = {}
 
     def render(r: StemResult) -> str:
@@ -219,11 +221,7 @@ def cmd_stem(args) -> int:
                     raise CliError(f"{args.input}: line {i}: tab or CR inside a word", EXIT_INPUT)
         lineno += text.count("\n")
 
-    if args.json:
-        from json.encoder import encode_basestring
-        render = _json_renderer(encode_basestring)
-    else:
-        render = _tsv_line
+    render = _json_renderer() if args.json else _tsv_line
     lines: dict[str, str] = {}  # each distinct word's output line, kept across blocks
     chunk_words: dict[str, list[str]] = {}
     for text in _input_blocks(args.input, data, args.pretokenized):

@@ -101,15 +101,15 @@ class RuleSet(Record):
     """Rule collection plus exception words; immutable.
 
     Rules are kept sorted by pattern grapheme length, descending, ties in
-    source order.  ``buckets`` (not a field) indexes them for the stemmer:
-    keyed by ``kind is AffixKind.SUFFIX``, then by edge letter (a suffix's
-    last code point, a prefix's first), one tuple of ``(pattern, rule,
-    min_clusters)`` entries, longest pattern in code points first;
-    ``min_clusters``, the pattern's grapheme count plus its ``min_stem``
-    (else ``default_min_stem``), is the fewest clusters a word needs for
-    the rule to fire.  Two distinct patterns of one length cannot both
-    match one stem, so the first entry found at a stem's edge is the
-    longest match.  Building it rejects a duplicate ``(kind, pattern)``.
+    source order.  ``buckets`` (not a field) indexes them for the stemmer
+    in that order: keyed by ``kind is AffixKind.SUFFIX``, then by edge
+    letter (a suffix's last code point, a prefix's first), one tuple of
+    ``(pattern, rule, min_clusters)`` entries; ``min_clusters``, the
+    pattern's grapheme count plus its ``min_stem`` (else
+    ``default_min_stem``), is the fewest clusters a word needs for the
+    rule to fire.  :func:`urdustem.stemmer.stem_word` says why the first
+    entry that fires is the longest match.  Building it rejects a
+    duplicate ``(kind, pattern)``.
     """
 
     __slots__ = ("rules", "exceptions", "default_min_stem", "buckets")
@@ -126,24 +126,22 @@ class RuleSet(Record):
         if isinstance(exceptions, (str, bytes)):
             raise ValueError(f"exceptions must be a collection of words, got {exceptions!r}")
         exceptions = tuple(exceptions)
-        for word in exceptions:  # before frozenset, which cannot hash a list
+        for word in exceptions:  # in input order, and before frozenset, which cannot hash a list
             if not isinstance(word, str):
                 raise ValueError(f"exception word {word!r} is not a str")
-        exceptions = frozenset(exceptions)
-        if type(default_min_stem) is not int or default_min_stem < 1:
-            raise ValueError(f"default_min_stem must be a positive int, got {default_min_stem!r}")
-        if "" in exceptions:
-            raise ValueError("exception words must be non-empty")
-        for word in exceptions:
+            if not word:
+                raise ValueError("exception words must be non-empty")
             if not unicodedata.is_normalized("NFC", word):
                 raise ValueError(f"exception word {word!r} is not NFC")
             if word != word.strip():
                 # stem, eval and gen trim every word they read, so it could never match.
                 raise ValueError(f"exception word {word!r} has whitespace at an edge")
-        self._set(rules=rules, exceptions=exceptions, default_min_stem=default_min_stem)
+        if type(default_min_stem) is not int or default_min_stem < 1:
+            raise ValueError(f"default_min_stem must be a positive int, got {default_min_stem!r}")
+        self._set(rules=rules, exceptions=frozenset(exceptions), default_min_stem=default_min_stem)
         buckets: dict[bool, dict[str, list[tuple]]] = {True: {}, False: {}}
         seen: set[tuple[bool, str]] = set()
-        for rule in sorted(rules, key=lambda r: -len(r.pattern)):
+        for rule in rules:
             suffix = rule.kind is AffixKind.SUFFIX
             if (suffix, rule.pattern) in seen:
                 raise ValueError(f"duplicate rule {rule.rule_id}")

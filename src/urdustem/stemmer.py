@@ -1,8 +1,9 @@
 """Affix stripping by longest-first edge matching.
 
 The engine looks the word's edge letter up in the rule set's pattern
-index, tries its patterns longest first, and detaches the first affix
-found at the edge that leaves a long-enough residual stem.  A word
+index, tries its patterns longest first in grapheme clusters, and
+detaches the first affix found at the edge that leaves a long-enough
+residual stem (``stem_word`` says why that is the longest match).  A word
 matching nothing is returned unchanged; exception-listed words are
 returned verbatim before any rule is consulted.  A recoded stem is
 renormalized to NFC.  Every pass runs inside ``stem_word``'s own loop and
@@ -89,34 +90,35 @@ def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemR
     :func:`urdustem.corpus.normalize`).
 
     A pass tries the patterns under the stem's edge letter in
-    ``RuleSet.buckets``, longest first, each with ``str.removesuffix`` or
-    ``str.removeprefix``, which leave a stem that lacks the pattern as it
-    is and cut only one that has it.  Two distinct patterns of one length
-    cannot both match, so the first pattern found at the edge is the
-    longest match.  A match is taken only if the stem's *n* clusters reach
-    the rule's minimum, which leaves at least one (``min_stem >= 1``), so
-    the stem is never empty; else the scan goes on to shorter patterns.  A match stands only where it cuts between two
-    clusters: a suffix pattern starts with a non-extender (``AffixRule``
-    rejects the others), and a prefix cut is refused when the residual
-    starts with an extender, which a letters-only stem never holds.  So
-    every cut takes whole clusters, the residual has
-    ``n - rule.pattern_length`` of them, and longest first by code points
-    is longest first by clusters.  A stem that is not letters-only has its
-    clusters counted when a pattern first sits at its edge, and a recoding
-    makes the stem's count and letters-only flag afresh, after NFC, since
-    a replacement may hold a mark, or start with one that composes with
-    the residual (e.g. alif + maddah).
+    ``RuleSet.buckets``, most grapheme clusters first, each with
+    ``str.removesuffix`` or ``str.removeprefix``, which leave a stem that
+    lacks the pattern as it is and cut only one that has it.  A match is
+    taken only if the stem's *n* clusters reach the rule's minimum, which
+    leaves at least one (``min_stem >= 1``), so the stem is never empty,
+    and only where it cuts between two clusters: a suffix pattern starts
+    with a non-extender (``AffixRule`` rejects the others), and a prefix
+    cut is refused when the residual starts with an extender, which a
+    letters-only stem never holds; else the scan goes on.  So every cut
+    takes whole clusters and leaves ``n - rule.pattern_length`` of them,
+    and of two patterns that both cut whole clusters from one stem the
+    longer holds more clusters: the first match taken is the longest.  A
+    stem that is not letters-only has its clusters counted when a pattern
+    first sits at its edge, and a recoding makes the stem's count and
+    letters-only flag afresh, after NFC, since a replacement may hold a
+    mark, or start with one that composes with the residual (e.g. alif +
+    maddah).
     """
-    try:
+    try:  # caught, not checked first, so a str pays nothing
         nfc = unicodedata.is_normalized("NFC", word)
-    except TypeError:  # caught, not checked first, so a str pays nothing
+        exception = word in rs.exceptions  # a str subclass may be unhashable
+    except TypeError:
         raise StemError(f"word {word!r} has type {type(word).__name__}, not str") from None
     if not word:
         raise StemError("cannot stem an empty word")
     if not nfc:
         raise StemError(f"word {word!r} is not NFC; normalize it with urdustem.corpus.normalize")
 
-    if word in rs.exceptions:
+    if exception:
         return StemResult(word=word, stem=word, exception_hit=True)
 
     # A letters-only stem's clusters are its code points, and none of them
@@ -179,14 +181,8 @@ def stem_batch(words, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> list[Ste
     words = list(words)
     try:
         distinct = dict.fromkeys(words)
-    except TypeError:  # an unhashable word, which is no str
-        for i, word in enumerate(words):
-            try:
-                hash(word)
-            except TypeError:
-                stem_batch(words[:i], rs, cfg)  # a bad word before it is named first
-                raise StemError(
-                    f"word {i}: word {word!r} has type {type(word).__name__}, not str") from None
+    except TypeError:  # an unhashable word, which stem_word rejects, as every bad word
+        distinct = words
     results: dict[str, StemResult] = {}
     for word in distinct:
         try:

@@ -9,7 +9,6 @@ import tracemalloc
 import unicodedata
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import islice, product
-from json.encoder import encode_basestring
 from pathlib import Path
 from unittest import mock
 
@@ -156,7 +155,7 @@ class TestStem:
             {"word": word, "prefix": prefix, "stem": stem, "suffix": suffix,
              "applied": list(applied), "exception": exception}
         )
-        assert _json_renderer(encode_basestring)(r) == expected + "\n"
+        assert _json_renderer()(r) == expected + "\n"
 
     @given(
         tails=st.lists(st.tuples(st.none() | _JSON_FIELD, st.none() | _JSON_FIELD,
@@ -167,7 +166,7 @@ class TestStem:
     def test_one_renderer_gives_each_line_as_json_dumps(self, tails, heads):
         # Results that share a firing sequence but differ in word and stem,
         # through one renderer, so that later lines reuse its fragments.
-        render = _json_renderer(encode_basestring)
+        render = _json_renderer()
         for word, stem, i in heads:
             prefix, suffix, applied, exception = tails[i % len(tails)]
             expected = json.dumps({"word": word, "prefix": prefix, "stem": stem, "suffix": suffix,
@@ -541,6 +540,13 @@ class TestRules:
         code, out, err = run(capsys, "rules", "validate", "--rules", str(bad))
         assert code == 1 and out == ""
         assert err == f"urdustem: {bad}: line 3: duplicate #!default-min-stem (first defined on line 1)\n"
+
+    def test_unknown_directive_exits_1_naming_its_line(self, capsys, tmp_path):
+        bad = tmp_path / "bogus.rules"
+        bad.write_text("#!bogus\tx\nS\tوں\n", encoding="utf-8")
+        code, out, err = run(capsys, "rules", "validate", "--rules", str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"urdustem: {bad}: line 1: unknown directive '#!bogus'\n"
 
 
 class TestGen:

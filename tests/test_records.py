@@ -124,7 +124,7 @@ def _indexed(rs: RuleSet) -> list:
     entries = []
     for suffix, by_edge in rs.buckets.items():
         for edge, bucket in by_edge.items():
-            lengths = [len(pattern) for pattern, _, _ in bucket]
+            lengths = [rule.pattern_length for _, rule, _ in bucket]
             assert lengths == sorted(lengths, reverse=True)
             for pattern, rule, min_clusters in bucket:
                 assert rule.pattern == pattern

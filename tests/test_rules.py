@@ -1,11 +1,14 @@
+import os
 import re
+import subprocess
 import sys
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from urdustem import graphemes
+from urdustem import data, graphemes
 from urdustem.corpus import normalize
 from urdustem.evaluation import GoldEntry, GoldFileError, parse_gold_file
 from urdustem.graphemes import ZWJ, ZWNJ
@@ -184,6 +187,12 @@ class TestParse:
         assert by_pattern["ے"].min_stem == 4 and by_pattern["ے"].replacement == "ہ"
         assert by_pattern["ی"].min_stem == 2
 
+    def test_unknown_directive_names_itself_and_its_line(self):
+        with pytest.raises(RuleParseError) as exc_info:
+            parse_rule_file("#!bogus\tx\nS\tوں\n")
+        assert str(exc_info.value) == "line 1: unknown directive '#!bogus'"
+        assert (exc_info.value.line, exc_info.value.other_line) == (1, None)
+
     def test_directives(self):
         rs = parse_rule_file("#!default-min-stem\t3\n#!exception\tبدمعاش\nS\tی\n")
         assert rs.default_min_stem == 3
@@ -324,11 +333,11 @@ class TestRuleSet:
     def test_buckets_index_each_kind_longest_first(self):
         # Keyed by the suffix flag, then by the edge letter (a suffix's last
         # code point, a prefix's first), one (pattern, rule, min_clusters)
-        # tuple per rule, longest in code points first: the fatha puts the
-        # two-cluster "وَں" and "بَد" among the length-3 patterns, while
-        # min_clusters still counts clusters.
+        # tuple per rule, in the order of rs.rules: most clusters first, ties
+        # in source order, so the two-cluster "وَں" follows "وں", though it
+        # has three code points.
         rs = parse_rule_file("S\tی\nS\tوں\nP\tنو\nS\tیاں\nS\tات\nS\tوَں\nP\tبَد\n")
-        assert _index(rs.buckets[True]) == {"ں": ["یاں", "وَں", "وں"], "ت": ["ات"], "ی": ["ی"]}
+        assert _index(rs.buckets[True]) == {"ں": ["یاں", "وں", "وَں"], "ت": ["ات"], "ی": ["ی"]}
         assert _index(rs.buckets[False]) == {"ب": ["بَد"], "ن": ["نو"]}
         assert {pattern: (rule.pattern, min_clusters)
                 for pattern, rule, min_clusters in rs.buckets[True]["ں"]} == {
@@ -364,6 +373,21 @@ class TestRuleSet:
             with pytest.raises(ValueError) as exc_info:
                 RuleSet((), words)
             assert str(exc_info.value) == f"exception word {bad!r} is not a str"
+
+    def test_first_bad_exception_word_in_input_order_is_named_whatever_the_hash_seed(self):
+        # Each word has its own fault; the one named is the first given, not
+        # the first that a frozenset of them yields.
+        code = ("from urdustem.rules import RuleSet\n"
+                "try:\n    RuleSet((), ['کتاب ', ' قلم', 'بآ'])\n"
+                "except ValueError as exc:\n    print(exc)\n")
+        src = str(Path(graphemes.__file__).resolve().parents[1])
+        for seed in "0123":
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONIOENCODING": "utf-8",
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  encoding="utf-8", timeout=60)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert proc.stdout == "exception word 'کتاب ' has whitespace at an edge\n", seed
 
     def test_exception_word_with_inner_whitespace_kept(self):
         # A --pretokenized word may hold a space.
@@ -611,3 +635,17 @@ class TestShippedDefaults:
 
     def test_default_min_stem_is_two(self, default_rules):
         assert default_rules.default_min_stem == 2
+
+    @pytest.mark.parametrize("name", [data.DEFAULT_RULES, data.TABLE2_RULES, data.PARADIGM_RULES])
+    def test_buckets_are_in_code_point_order_too(self, name):
+        # No shipped pattern holds a mark, so its clusters are its code points
+        # and the index in rule order is, entry for entry, the index sorted
+        # longest in code points first (ties in rule order).
+        rs = data.load_rules(name)
+        assert all(len(r.pattern) == r.pattern_length for r in rs.rules)
+        by_code_points = {True: {}, False: {}}
+        for rule in sorted(rs.rules, key=lambda r: -len(r.pattern)):
+            suffix = rule.kind is S
+            by_code_points[suffix].setdefault(rule.pattern[-1 if suffix else 0], []).append(rule)
+        assert {suffix: {edge: [rule for _, rule, _ in bucket] for edge, bucket in by_edge.items()}
+                for suffix, by_edge in rs.buckets.items()} == by_code_points

@@ -203,6 +203,10 @@ class TestSingleSplit:
         assert calls == []
 
 
+class _UnhashableStr(str):
+    __hash__ = None
+
+
 class TestBatch:
     def test_elementwise_equal_to_single_calls(self, default_rules):
         words = [w for w, *_ in TABLE2_EXPECTED]
@@ -246,13 +250,18 @@ class TestBatch:
             with pytest.raises(StemError, match=f"^word {index}: "):
                 stem_batch(given, default_rules)
 
-    @pytest.mark.parametrize("bad", [["قلم"], {"قلم": 1}, {"قلم"}], ids=["list", "dict", "set"])
+    @pytest.mark.parametrize("bad", [["قلم"], {"قلم": 1}, {"قلم"}, _UnhashableStr("کتاب")],
+                             ids=["list", "dict", "set", "unhashable-str"])
     def test_unhashable_word_errors_naming_its_index_and_type(self, default_rules, bad):
+        message = f"word {bad!r} has type {type(bad).__name__}, not str"
         for words in ([bad], ["قلم", bad]):
             with pytest.raises(StemError) as exc_info:
                 stem_batch(words, default_rules)
             index = len(words) - 1
-            assert str(exc_info.value) == f"word {index}: word {bad!r} has type {type(bad).__name__}, not str"
+            assert str(exc_info.value) == f"word {index}: {message}"
+        with pytest.raises(StemError) as exc_info:
+            stem_word(bad, default_rules)
+        assert str(exc_info.value) == message
 
     def test_large_random_batch_matches_per_word_path(self, default_rules):
         rng = random.Random(7)
