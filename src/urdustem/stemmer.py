@@ -8,6 +8,9 @@ matching nothing is returned unchanged; exception-listed words are
 returned verbatim before any rule is consulted.  A recoded stem is
 renormalized to NFC.  Every pass runs inside ``stem_word``'s own loop and
 probes the stem string itself, cutting it only for the affix it takes.
+``StemConfig.phases`` holds all a pass needs from the config (its edge
+index, pass range and probe), so a pass does no set-up of its own, and a
+stem whose edge letter has no pattern ends its phase at one dict lookup.
 A letters-only stem's clusters are its code points; any other stem's are
 counted only once a pattern sits at its edge, and then carried as
 arithmetic until a recoding.  ``stem_batch`` stems each distinct word
@@ -36,8 +39,11 @@ class StemConfig(Record):
 
     The defaults (one suffix, then one prefix) reproduce the behaviour of
     a single-strip stemmer while still letting words that carry both a
-    prefix and a suffix shed both.  ``phases`` (not a field) is the
-    ``(suffix, passes)`` pair of each phase in the order they run.
+    prefix and a suffix shed both.  ``phases`` (not a field) holds a
+    ``(suffix, edge, range(passes), probe)`` tuple for each phase with
+    passes, in the order they run: ``edge`` indexes the stem's edge
+    letter (``-1`` or ``0``) and ``probe`` is ``str.removesuffix`` or
+    ``str.removeprefix``.
     """
 
     __slots__ = ("max_suffix_passes", "max_prefix_passes", "order", "phases")
@@ -51,9 +57,15 @@ class StemConfig(Record):
                 raise ValueError(f"passes must be an int in 0..{MAX_PASSES}, got {n!r}")
         if order not in (SUFFIX_FIRST, PREFIX_FIRST):
             raise ValueError(f"order must be {SUFFIX_FIRST!r} or {PREFIX_FIRST!r}")
-        phases = ((True, max_suffix_passes), (False, max_prefix_passes))
+        # Not str.endswith/startswith: in CPython 3.11 those calls parse a
+        # varargs tuple, several times the cost of a removesuffix that
+        # misses.  Unbound, so that a pass binds no method to its stem.
+        phases = ((True, -1, range(max_suffix_passes), str.removesuffix),
+                  (False, 0, range(max_prefix_passes), str.removeprefix))
+        if order == PREFIX_FIRST:
+            phases = phases[::-1]
         self._set(max_suffix_passes=max_suffix_passes, max_prefix_passes=max_prefix_passes,
-                  order=order, phases=phases[::-1] if order == PREFIX_FIRST else phases)
+                  order=order, phases=tuple(phase for phase in phases if phase[2]))
 
 
 DEFAULT_CONFIG = StemConfig()
@@ -89,10 +101,14 @@ def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemR
     The word must be a non-empty, NFC-normalized str (see
     :func:`urdustem.corpus.normalize`).
 
-    A pass tries the patterns under the stem's edge letter in
-    ``RuleSet.buckets``, most grapheme clusters first, each with
-    ``str.removesuffix`` or ``str.removeprefix``, which leave a stem that
-    lacks the pattern as it is and cut only one that has it.  A match is
+    Each ``(suffix, edge, passes, probe)`` phase of ``cfg.phases`` runs
+    its passes in turn.  A pass looks the stem's edge letter,
+    ``stem[edge]``, up in ``RuleSet.buckets``; with no pattern there the
+    phase is done, and the next phase runs.  Otherwise it tries those
+    patterns, most grapheme clusters first, each with ``probe`` (the
+    unbound ``str.removesuffix`` or ``str.removeprefix``), which leaves a
+    stem that lacks the pattern as it is and cuts only one that has it;
+    a pass that takes none also ends its phase.  A match is
     taken only if the stem's *n* clusters reach the rule's minimum, which
     leaves at least one (``min_stem >= 1``), so the stem is never empty,
     and only where it cuts between two clusters: a suffix pattern starts
@@ -128,14 +144,14 @@ def stem_word(word: str, rs: RuleSet, cfg: StemConfig = DEFAULT_CONFIG) -> StemR
     stem, n = word, len(word) if letters else -1
     applied = ()
     prefixes = suffixes = ""
-    for suffix, passes in cfg.phases:
+    for suffix, edge, passes, probe in cfg.phases:
         buckets = rs.buckets[suffix]
-        for _ in range(passes):
-            # Not str.endswith: in CPython 3.11 that call parses a varargs
-            # tuple, several times the cost of a removesuffix that misses.
-            cut = stem.removesuffix if suffix else stem.removeprefix
-            for pattern, rule, min_clusters in buckets.get(stem[-1] if suffix else stem[0], ()):
-                rest = cut(pattern)
+        for _ in passes:
+            entries = buckets.get(stem[edge])
+            if entries is None:  # no pattern at this edge letter: the phase is done
+                break
+            for pattern, rule, min_clusters in entries:
+                rest = probe(stem, pattern)
                 if rest == stem:  # the pattern is not at the edge
                     continue
                 if n < 0:

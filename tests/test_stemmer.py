@@ -4,7 +4,7 @@ import random
 import unicodedata
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from urdustem import graphemes, stemmer
 from urdustem.graphemes import ZWNJ
@@ -155,7 +155,8 @@ class TestConfig:
     @pytest.mark.parametrize("order", [SUFFIX_FIRST, PREFIX_FIRST])
     def test_phases_is_derived_and_outside_equality(self, order):
         cfg = StemConfig(2, 3, order)
-        suffix_first = ((True, 2), (False, 3))
+        suffix_first = ((True, -1, range(2), str.removesuffix),
+                        (False, 0, range(3), str.removeprefix))
         assert cfg.phases == (suffix_first if order == SUFFIX_FIRST else suffix_first[::-1])
         assert "phases" not in StemConfig._fields
         assert repr(cfg) == f"StemConfig(max_suffix_passes=2, max_prefix_passes=3, order={order!r})"
@@ -168,6 +169,12 @@ class TestConfig:
         assert cfg.__reduce__() == (StemConfig, (2, 3, order))
         with pytest.raises(AttributeError):
             cfg.phases = ()
+
+    @pytest.mark.parametrize("order", [SUFFIX_FIRST, PREFIX_FIRST])
+    def test_zero_pass_phase_is_left_out(self, order):
+        assert StemConfig(0, 0, order).phases == ()
+        assert StemConfig(2, 0, order).phases == ((True, -1, range(2), str.removesuffix),)
+        assert StemConfig(0, 3, order).phases == ((False, 0, range(3), str.removeprefix),)
 
 
 class TestSingleSplit:
@@ -437,6 +444,18 @@ def _marked_cases(draw):
     return rs, words
 
 
+# Marked patterns where only longest-first order gives the oracle's result:
+# a shortest-first scan cuts "ی" in place of "تَی" and "اَ" in place of
+# "اَب", and then stops at a stem that ends in a fatha.  Suffix first with
+# two passes each way, "اَبتوتَی" sheds "تَی" and then "و", and then "اَب"
+# would leave one cluster, below the default minimum of two, so "اَ" is cut.
+_LONGEST_FIRST = (
+    RuleSet((AffixRule(S, "تَی"), AffixRule(S, "ی"), AffixRule(S, "و"),
+             AffixRule(P, "اَب"), AffixRule(P, "اَ"))),
+    ["اَبتوتَی", "اَب" + ZWNJ + "توی", "بوتَی"],
+)
+
+
 class TestMarkedWordsAgainstOracle:
     """Words with harakat and ZWNJ, checked against the code-point oracle
     by mapping each grapheme cluster to one private-use code point."""
@@ -448,6 +467,8 @@ class TestMarkedWordsAgainstOracle:
         suffix_passes=st.sampled_from([0, 1, 2, MAX_PASSES]),
         prefix_passes=st.sampled_from([0, 1, 2, MAX_PASSES]),
     )
+    @example(case=_LONGEST_FIRST, order=SUFFIX_FIRST, suffix_passes=2, prefix_passes=2)
+    @example(case=_LONGEST_FIRST, order=PREFIX_FIRST, suffix_passes=2, prefix_passes=2)
     def test_marked_words_match_brute_force(self, case, order, suffix_passes, prefix_passes):
         rs, words = case
         mapped = ClusterCodes(graphemes.split)
@@ -475,6 +496,31 @@ class TestMarkedWordsAgainstOracle:
         rs, words = case
         for text in words + [r.pattern for r in rs.rules]:
             assert graphemes.split(text) == regex.findall(r"\X", text)
+
+
+class TestPhaseLoop:
+    """Each phase runs its passes until its edge letter has no pattern or
+    no pattern fires; neither ends the other phase."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_marked_cases(), order=st.sampled_from([SUFFIX_FIRST, PREFIX_FIRST]))
+    def test_zero_passes_return_every_word_whole(self, case, order):
+        rs, words = case
+        for word in words:
+            res = stem_word(word, rs, StemConfig(0, 0, order))
+            assert res == StemResult(word=word, stem=word) and res.is_pass_through
+
+    @pytest.mark.parametrize("word,order,passes,expected", [
+        ("لاچار", SUFFIX_FIRST, 1, ("لا", "چار", None, ("P:لا",))),
+        ("چاری", PREFIX_FIRST, 1, (None, "چار", "ی", ("S:ی",))),
+        ("لاچاری", SUFFIX_FIRST, 2, ("لا", "چار", "ی", ("S:ی", "P:لا"))),
+        ("لاچاری", PREFIX_FIRST, 2, ("لا", "چار", "ی", ("P:لا", "S:ی"))),
+    ], ids=["suffix-miss", "prefix-miss", "second-suffix-pass-miss", "second-prefix-pass-miss"])
+    def test_bucket_miss_ends_only_its_phase(self, word, order, passes, expected):
+        # "ر" ends no suffix pattern and "چ" starts no prefix pattern.
+        rs = parse_rule_file("P\tلا\nS\tی\n")
+        res = stem_word(word, rs, StemConfig(passes, passes, order))
+        assert (res.prefix, res.stem, res.suffix, res.applied) == expected
 
 
 class TestStringScan:

@@ -26,7 +26,7 @@ CONSOLE_STEPS = [
 
 
 def test_console_script_steps_found():
-    assert len(CONSOLE_STEPS) >= 33
+    assert len(CONSOLE_STEPS) >= 34
 
 
 @pytest.mark.parametrize("step", CONSOLE_STEPS, ids=[step["name"] for step in CONSOLE_STEPS])
