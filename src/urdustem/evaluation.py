@@ -73,14 +73,6 @@ class EvalReport(NamedTuple):
     max_word_len: int
 
 
-def _is_correct(result: StemResult, gold: GoldEntry, stem_only: bool) -> bool:
-    """Stems compare as they are; affixes as ``stem`` prints them."""
-    if result.stem != gold.expected_stem:
-        return False
-    return stem_only or (shown_affix(result.prefix) == shown_affix(gold.expected_prefix)
-                         and shown_affix(result.suffix) == shown_affix(gold.expected_suffix))
-
-
 def _proper_subsequence(needle, haystack) -> bool:
     """True when the clusters of *needle* occur in order (gaps allowed)
     in *haystack* and *needle* has fewer clusters.
@@ -110,9 +102,12 @@ def classify_error(result: StemResult, gold: GoldEntry, stem_only: bool = False)
         raise EvalError(f"result word {result.word!r} does not match gold word {gold.word!r}")
     if not gold.word or not gold.expected_stem:
         raise EvalError("gold word and expected_stem must be non-empty")
-    if _is_correct(result, gold, stem_only):
-        return _CORRECT
     expected, produced = gold.expected_stem, result.stem
+    # Stems compare as they are; affixes as ``stem`` prints them.
+    if expected == produced and (
+            stem_only or (shown_affix(result.prefix) == shown_affix(gold.expected_prefix)
+                          and shown_affix(result.suffix) == shown_affix(gold.expected_suffix))):
+        return _CORRECT
     if not (expected.isalpha() and produced.isalpha()):
         expected, produced = graphemes.split(expected), graphemes.split(produced)
     if _proper_subsequence(expected, produced):

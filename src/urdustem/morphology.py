@@ -5,9 +5,12 @@ in alif, choti he, or ain), the verb causative triple, and adjective
 gender/case agreement.  Lemmas outside these paradigms raise
 :class:`ParadigmError` rather than guessing at grammar the generator has
 no rules for.
-"""
 
-from typing import NamedTuple
+A paradigm is one ``_LexiconEntry`` subclass that names its inflector
+(``_inflect``, raising :class:`ParadigmError` outside the paradigm) and
+its endings (``_endings``, in the inflector's form order), plus its
+lexicon-file category in ``_CATEGORIES``.
+"""
 
 from urdustem.corpus import data_lines
 from urdustem.evaluation import GoldEntry
@@ -29,35 +32,6 @@ INDIRECT_CAUSATIVE = "وانا"
 
 class ParadigmError(ValueError):
     """Inflection requested for a paradigm the generator has no rules for."""
-
-
-class ParadigmEntry(Record):
-    """A group-1 masculine noun lemma (singular nominative) ending in alif, he or ain."""
-
-    __slots__ = _fields = ("lemma",)
-
-    def __init__(self, lemma: str) -> None:
-        inflect_noun(lemma)  # raises ParadigmError unless alif-, he- or ain-final
-        self._set(lemma=lemma)
-
-    @classmethod
-    def from_lemma(cls, lemma: str) -> "ParadigmEntry":
-        """The entry for *lemma*; the same as ``ParadigmEntry(lemma)``."""
-        return cls(lemma)
-
-
-class VerbRoot(NamedTuple):
-    root: str
-
-
-class Adjective(Record):
-    """An adjective lemma ending in alif (masculine direct form)."""
-
-    __slots__ = _fields = ("lemma",)
-
-    def __init__(self, lemma: str) -> None:
-        inflect_adjective(lemma)  # raises ParadigmError unless alif-final
-        self._set(lemma=lemma)
 
 
 # Noun endings (singular nominative, oblique and vocative, then the plural
@@ -95,6 +69,40 @@ def inflect_adjective(lemma: str) -> tuple[str, str]:
     return tuple(lemma[:-1] + ending for ending in _ADJECTIVE_ENDINGS)
 
 
+class _LexiconEntry(Record):
+    __slots__ = _fields = ("lemma",)
+
+    def __init__(self, lemma: str) -> None:
+        if not isinstance(lemma, str):
+            raise ParadigmError(f"lemma {lemma!r} has type {type(lemma).__name__}, not str")
+        self._inflect(lemma)  # raises ParadigmError outside the paradigm
+        self._set(lemma=lemma)
+
+
+class ParadigmEntry(_LexiconEntry):
+    """A group-1 masculine noun lemma (singular nominative) ending in alif, he or ain."""
+
+    __slots__ = ()
+    _inflect, _endings = staticmethod(inflect_noun), _NOUN_ENDINGS
+
+    @classmethod
+    def from_lemma(cls, lemma: str) -> "ParadigmEntry":
+        """The entry for *lemma*; the same as ``ParadigmEntry(lemma)``."""
+        return cls(lemma)
+
+
+class VerbRoot(_LexiconEntry):
+    __slots__ = ()
+    _inflect, _endings = staticmethod(inflect_verb), _VERB_ENDINGS
+
+
+class Adjective(_LexiconEntry):
+    """An adjective lemma ending in alif (masculine direct form)."""
+
+    __slots__ = ()
+    _inflect, _endings = staticmethod(inflect_adjective), _ADJECTIVE_ENDINGS
+
+
 def generate_gold(lexicon) -> list[GoldEntry]:
     """Expand a lexicon of nouns, verb roots and adjectives into gold entries.
 
@@ -108,15 +116,10 @@ def generate_gold(lexicon) -> list[GoldEntry]:
     """
     entries: list[GoldEntry] = []
     for item in lexicon:
-        if isinstance(item, ParadigmEntry):
-            lemma, endings, surfaces = item.lemma, _NOUN_ENDINGS, inflect_noun(item.lemma)
-        elif isinstance(item, VerbRoot):
-            lemma, endings, surfaces = item.root, _VERB_ENDINGS, inflect_verb(item.root)
-        elif isinstance(item, Adjective):
-            lemma, endings, surfaces = item.lemma, _ADJECTIVE_ENDINGS, inflect_adjective(item.lemma)
-        else:
+        if not isinstance(item, _LexiconEntry):
             raise ParadigmError(f"unsupported lexicon item {item!r}")
-        entries.extend(GoldEntry(s, lemma, expected_suffix=e) for s, e in zip(surfaces, endings))
+        entries.extend(GoldEntry(s, item.lemma, expected_suffix=e)
+                       for s, e in zip(item._inflect(item.lemma), item._endings))
     return entries
 
 

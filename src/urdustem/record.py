@@ -1,8 +1,9 @@
 """Frozen value classes that check their fields when built.
 
-``StemConfig``, ``AffixRule``, ``RuleSet``, ``ParadigmEntry`` and
-``Adjective`` subclass :class:`Record`.  Each is a ``__slots__`` class:
-its ``__init__`` validates and then stores every slot once, through
+``StemConfig``, ``AffixRule``, ``RuleSet`` and, through one base that
+checks each lemma, ``ParadigmEntry``, ``VerbRoot`` and ``Adjective``
+subclass :class:`Record`.  Each is a ``__slots__`` class: its
+``__init__`` validates and then stores every slot once, through
 :meth:`Record._set`, and no slot is assigned again.  The constructor is
 the only way to build one: ``copy`` and ``pickle`` rebuild through it
 (``__reduce__``), so no path skips the checks.  Two records are equal,

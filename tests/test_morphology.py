@@ -75,6 +75,11 @@ class TestInflectVerb:
         with pytest.raises(ParadigmError):
             inflect_verb("")
 
+    def test_empty_root_rejected_when_built(self):
+        # Built, not only when inflected: generate_gold never sees it.
+        with pytest.raises(ParadigmError, match="^verb root must be non-empty$"):
+            VerbRoot("")
+
     @pytest.mark.parametrize(
         "root",
         "مل چل بن سن لکھ پڑھ دیکھ سمجھ بول کھا پی جا اٹھ بیٹھ دوڑ پکڑ چھوڑ مار کاٹ پہن".split(),
@@ -99,6 +104,14 @@ class TestInflectAdjective:
     def test_non_alif_final_not_specified(self):
         with pytest.raises(ParadigmError, match="not specified"):
             inflect_adjective("خوش")
+
+
+@pytest.mark.parametrize("kind", [ParadigmEntry, VerbRoot, Adjective])
+def test_non_str_lemma_rejected(kind):
+    for lemma, type_name in ((1, "int"), (None, "NoneType"), (b"\xd8\xa7", "bytes")):
+        with pytest.raises(ParadigmError) as exc_info:
+            kind(lemma)
+        assert str(exc_info.value) == f"lemma {lemma!r} has type {type_name}, not str"
 
 
 class TestGenerateGold:

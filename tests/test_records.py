@@ -1,4 +1,4 @@
-"""The five classes that validate on construction keep their contract:
+"""The six classes that validate on construction keep their contract:
 every way of building one runs the checks, no field can be assigned,
 equal fields mean equal objects and hashes, and a rule set's index
 always covers exactly its own rules."""
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from urdustem import data
-from urdustem.morphology import Adjective, ParadigmEntry
+from urdustem.morphology import Adjective, ParadigmEntry, VerbRoot
 from urdustem.rules import AffixKind, AffixRule, RuleSet, parse_rule_file, serialize_rule_set
 from urdustem.stemmer import PREFIX_FIRST, StemConfig
 
@@ -38,8 +38,9 @@ CASES = {
          ((), frozenset({"کتا\u0627\u0653"})), ((), "کتاب"), (["S\tوں"],), ((), [1]), ((), b"ab"),
          ((), [b"ab"]), ((), [["کتاب"]]), ((), ["کتاب", {"قلم": 1}]), ((), ["کتاب", {"قلم"}])],
     ),
-    ParadigmEntry: (("لڑکا",), ("علاقہ",), [("سوال",), ("",)]),
-    Adjective: (("لمبا",), ("اچھا",), [("سرخ",), ("",)]),
+    ParadigmEntry: (("لڑکا",), ("علاقہ",), [("سوال",), ("",), (1,), (None,)]),
+    VerbRoot: (("کر",), ("کھا",), [("",), (1,)]),
+    Adjective: (("لمبا",), ("اچھا",), [("سرخ",), ("",), (1,), (None,)]),
 }
 CLASSES = list(CASES)
 
@@ -84,7 +85,9 @@ class TestContract:
 
     def test_fields_cannot_be_assigned_or_deleted(self, cls):
         obj = _valid(cls)
-        for name in (*cls.__slots__, "extra"):
+        slots = [name for klass in cls.__mro__ for name in vars(klass).get("__slots__", ())]
+        assert set(cls._fields) <= set(slots)
+        for name in (*slots, "extra"):
             with pytest.raises(AttributeError):
                 setattr(obj, name, None)
             with pytest.raises(AttributeError):
@@ -109,6 +112,7 @@ def test_repr_shows_the_fields_only():
         "StemConfig(max_suffix_passes=1, max_prefix_passes=1, order='suffix-first')"
     )
     assert repr(Adjective("لمبا")) == "Adjective(lemma='لمبا')"
+    assert repr(VerbRoot("کر")) == "VerbRoot(lemma='کر')"
 
 
 def test_the_stemmer_reads_stored_rule_attributes():
